@@ -18,6 +18,10 @@ FULL_SIZES = (
     1, 16, 256, 2 * KIB, 16 * KIB, 128 * KIB, 1 * MIB, 4 * MIB, 16 * MIB
 )
 QUICK_SIZES = (256, 16 * KIB, 1 * MIB, 16 * MIB)
+#: The mid-size message the check holds a single process to: present in both
+#: size lists, and small enough that PPN=1 is far from the NIC peak.
+MID_SIZE = 16 * KIB
+PEAK = 12_000 * MB
 
 
 def run(quick: bool = False) -> ExperimentOutput:
@@ -48,16 +52,31 @@ def run(quick: bool = False) -> ExperimentOutput:
 def check(output: ExperimentOutput) -> None:
     values = output.values
     sizes = sorted({s for s, _ in values})
-    largest = sizes[-1]
+    smallest, largest = sizes[0], sizes[-1]
     # Aggregate bandwidth grows (weakly) with PPN at every size.
     for size in sizes:
-        bws = [values[(size, p)] for p in PPNS]
-        for lo, hi in zip(bws, bws[1:]):
-            assert hi >= 0.9 * lo, f"PPN increase hurt bandwidth at {size} B"
+        for lo, hi in zip(PPNS, PPNS[1:]):
+            assert values[(size, hi)] >= 0.9 * values[(size, lo)], (
+                f"raising PPN from {lo} to {hi} cut bandwidth at "
+                f"{format_size(size)}: {values[(size, lo)] / MB:.0f} -> "
+                f"{values[(size, hi)] / MB:.0f} MB/s (allowed: -10%)"
+            )
     # PPN>=2 reaches >=90% of the 12 GB/s peak at the largest size.
-    assert values[(largest, 8)] >= 0.9 * 12_000 * MB
+    bw = values[(largest, 8)]
+    assert bw >= 0.9 * PEAK, (
+        f"PPN=8 reaches only {bw / MB:.0f} MB/s at {format_size(largest)}, "
+        f"below 90% of the {PEAK / MB:.0f} MB/s peak"
+    )
     # PPN=1 is clearly short of the NIC peak at mid sizes (the paper's root
     # motivation), and bandwidth rises strongly with message size.
-    mid = sizes[len(sizes) // 2]
-    assert values[(mid, 1)] < 0.75 * 12_000 * MB
-    assert values[(largest, 1)] > 5 * values[(sizes[0], 1)]
+    bw = values[(MID_SIZE, 1)]
+    assert bw < 0.75 * PEAK, (
+        f"PPN=1 reaches {bw / MB:.0f} MB/s at {format_size(MID_SIZE)}, not "
+        f"short of the peak (bound: 75% of {PEAK / MB:.0f} MB/s)"
+    )
+    lo, hi = values[(smallest, 1)], values[(largest, 1)]
+    assert hi > 5 * lo, (
+        f"PPN=1 bandwidth rises only {hi / lo:.2f}x from "
+        f"{format_size(smallest)} to {format_size(largest)} "
+        f"({lo / MB:.0f} -> {hi / MB:.0f} MB/s; need > 5x)"
+    )

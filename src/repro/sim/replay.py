@@ -49,11 +49,17 @@ choices, code paths taken).  Concretely:
   combine batcher.  The hooks detect each of these and mark the recording
   invalid; :func:`replay` then refuses and the caller falls back to full
   simulation.
-* FIFO compute queues (:class:`~repro.mpi.progress.ProgressEngine`) are
-  max-plus only while submissions stay in arrival order; the recorder
-  stores consecutive-arrival order guards and :func:`replay` verifies them
-  under the new constants, refusing when a perturbation would reorder a
-  queue.
+* Each process's FIFO progress queue
+  (:class:`~repro.mpi.progress.ProgressEngine`) is not max-plus: which job
+  runs first depends on arrival order, and a perturbation can change it.
+  So the queue is recorded as a queue — one ``K_QUEUE`` node per
+  submission — and :func:`replay` serves it as one, in (arrival time,
+  recording order), with ``finish = max(arrival, busy) + duration``: the
+  same two IEEE operations the live queue performs.  Ties keep recording
+  order.  The one remaining refusal: a job whose key sorts before a job
+  already served on its queue (a same-instant arrival with an earlier
+  recording index that turns up only after that instant's jobs were
+  served) raises :class:`ReplayInvalid` on the spot.
 
 See ``docs/perf.md`` for the benchmark (``perf_sim_core`` section
 ``replay``) and ``docs/tuning.md`` for the tuner integration.
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, field
+from heapq import heappop, heappush
 
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.sim.engine import DeadlineExceeded, Engine, SimulationError
@@ -80,13 +87,13 @@ REPLAY_SAFE_FIELDS = frozenset({
     "flow_half_size",
 })
 
-#: Node kinds of the recorded max-plus graph.
-K_CONST, K_SHIFT, K_MAX, K_FLOW = 0, 1, 2, 3
+#: Node kinds of the recorded event graph.
+K_CONST, K_SHIFT, K_MAX, K_FLOW, K_QUEUE = 0, 1, 2, 3, 4
 
-#: Serialized-recording schema.  v2 adds the ``machine`` constants so a
-#: loaded recording can enforce its full validity envelope in a fresh
-#: process; v1 artifacts (no machine) still load with ``machine=None``.
-DUMP_SCHEMA = 2
+#: Serialized-recording schema.  v3 records progress queues as ``K_QUEUE``
+#: nodes instead of max-plus chains plus order guards; older artifacts
+#: cannot be converted and must be re-recorded.
+DUMP_SCHEMA = 3
 
 
 class ReplayInvalid(SimulationError):
@@ -106,11 +113,14 @@ class GraphRecorder:
     K_SHIFT    pred node / delta       ``value(a) + b``
     K_MAX      tuple of pred nodes     ``max(value(p) for p in a)``
     K_FLOW     flow index / —          completion time of ``flows[a]``
+    K_QUEUE    arrival node /          ``max(value(a), busy) + duration``,
+               (queue, duration)       served in arrival order per queue
     =========  ======================  =====================================
 
-    Nodes are hash-consed (``shift(x, 0.0)`` is ``x``, ``join2(x, x)`` is
-    ``x``, nested maxes flatten), so the graph stays proportional to the
-    number of *distinct* causal facts, not to how often they are cited.
+    Nodes other than ``K_QUEUE`` are hash-consed (``shift(x, 0.0)`` is
+    ``x``, ``join2(x, x)`` is ``x``, nested maxes flatten), so the graph
+    stays proportional to the number of *distinct* causal facts, not to how
+    often they are cited.  Every queue submission is its own node.
     """
 
     def __init__(self, cluster=None, params: NetworkParams | None = None,
@@ -123,8 +133,6 @@ class GraphRecorder:
         self.flows: list[tuple] = []
         #: user-visible labels -> node (kernel timestamps, proc completions).
         self.marks: dict = {}
-        #: FIFO order guards: replay requires value(lo) <= value(hi).
-        self.guards: list[tuple[int, int]] = []
         self.invalid_reason: str | None = None
         self.cluster = cluster
         self.params = params or NetworkParams()
@@ -190,9 +198,11 @@ class GraphRecorder:
     def mark(self, key, node: int) -> None:
         self.marks[key] = node
 
-    def guard(self, lo: int, hi: int) -> None:
-        if lo != hi:
-            self.guards.append((lo, hi))
+    def queue(self, q: int, arrival: int, duration: float) -> int:
+        """One job of FIFO queue ``q``: arrives at node ``arrival`` and
+        occupies the queue for ``duration`` once every earlier arrival is
+        done."""
+        return self._node(K_QUEUE, arrival, (q, duration))
 
     def invalidate(self, reason: str) -> None:
         if self.invalid_reason is None:
@@ -236,11 +246,10 @@ class GraphRecorder:
             "invalid_reason": self.invalid_reason,
             "kinds": list(self.kinds),
             "a": [list(x) if isinstance(x, tuple) else x for x in self.a],
-            "b": list(self.b),
+            "b": [list(x) if isinstance(x, tuple) else x for x in self.b],
             "flows": [list(f) for f in self.flows],
             "marks": {repr(k): v for k, v in sorted(
                 self.marks.items(), key=lambda kv: repr(kv[0]))},
-            "guards": [list(g) for g in self.guards],
             "placement": placement,
             "params": {f.name: getattr(self.params, f.name)
                        for f in fields(NetworkParams)},
@@ -271,9 +280,10 @@ def _fold_static(rec: GraphRecorder):
 
     Everything here is parameter-independent: which nodes are static, their
     folded values (consts and deltas are recorded, not re-priced), the
-    dependent lists of flow-blocked nodes, and which flows each post node
-    releases.  Replays copy the two mutable arrays and run only the dynamic
-    propagation.
+    dependent lists of flow- and queue-blocked nodes, which flows each post
+    node releases, which queue jobs arrive at a static time, and each
+    queue's jobs in recording order.  Replays copy the mutable arrays and
+    run only the dynamic propagation.
     """
     if rec._plan is not None:
         return rec._plan
@@ -284,6 +294,10 @@ def _fold_static(rec: GraphRecorder):
     deps: list = [None] * n             # node -> dependent nodes
     posts_by_node: dict[int, list[int]] = {}   # post node -> flow indices
     flow_node: list = [None] * len(rec.flows)  # flow index -> K_FLOW node
+    static_jobs: list[int] = []         # K_QUEUE nodes with static arrival
+    heads: dict = {}                    # queue -> its first job
+    next_job: list = [None] * n         # job -> next job of its queue
+    tails: dict = {}                    # queue -> its last job so far
 
     def add_dep(p: int, i: int) -> None:
         dl = deps[p]
@@ -294,7 +308,9 @@ def _fold_static(rec: GraphRecorder):
 
     # The pass folds every node whose predecessors are all static
     # (predecessors always precede their node in creation order); nodes
-    # blocked behind a flow get an unresolved-predecessor count instead.
+    # blocked behind a flow or a queue get an unresolved-predecessor count
+    # instead.  Queue jobs are always dynamic: their finish depends on
+    # every job their queue serves first.
     for i in range(n):
         k = kinds[i]
         if k == K_CONST:
@@ -319,6 +335,20 @@ def _fold_static(rec: GraphRecorder):
                     add_dep(p, i)
             nun[i] = cnt
             values[i] = m  # final when cnt == 0, else the partial max
+        elif k == K_QUEUE:
+            nun[i] = 1
+            q = B[i][0]
+            prev = tails.get(q)
+            if prev is None:
+                heads[q] = i
+            else:
+                next_job[prev] = i
+            tails[q] = i
+            p = A[i]
+            if nun[p] == 0:
+                static_jobs.append(i)
+            else:
+                add_dep(p, i)
         else:  # K_FLOW
             nun[i] = 1
             flow_node[A[i]] = i
@@ -330,7 +360,12 @@ def _fold_static(rec: GraphRecorder):
     posts_arr: list = [None] * n
     for post, fis in posts_by_node.items():
         posts_arr[post] = fis
-    rec._plan = (values, nun, deps, posts_arr, flow_node)
+    # Queues are ranks: index their first jobs densely.
+    heads_arr: list = [None] * (max(heads, default=-1) + 1)
+    for q, i in heads.items():
+        heads_arr[q] = i
+    rec._plan = (values, nun, deps, posts_arr, flow_node, static_jobs,
+                 heads_arr, next_job)
     return rec._plan
 
 
@@ -343,12 +378,15 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
     Static (max-plus) nodes are folded in one (cached) topological pass;
     flow nodes are resolved by a fresh
     :class:`~repro.netmodel.fabric.Fabric` fed the recorded transfers at
-    their graph-resolved post times.  Raises :class:`ReplayInvalid` when
-    the recording's envelope is violated.
+    their graph-resolved post times, and queue jobs are served per queue
+    in (arrival time, recording order).  Raises :class:`ReplayInvalid`
+    when the recording's envelope is violated or a job turns up after a
+    job recorded later than it was already served (see the module
+    docstring).
 
     With a ``deadline``, the replay **aborts early**: the moment any
     ``proc_done`` mark resolves past the deadline — statically, or during
-    flow propagation inside the fabric mini-simulation — it raises
+    propagation inside the fabric mini-simulation — it raises
     :class:`~repro.sim.engine.DeadlineExceeded` instead of folding the rest
     of the graph.  This mirrors the live simulator's bounded
     ``World.run(until=...)`` contract: a candidate that cannot beat the
@@ -358,10 +396,11 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
 
     recording.check_compatible(params, machine)
     rec = recording
-    kinds, B = rec.kinds, rec.b
+    kinds, A, B = rec.kinds, rec.a, rec.b
     n = len(kinds)
     flows = rec.flows
-    values0, nun0, deps, posts_arr, flow_node = _fold_static(rec)
+    (values0, nun0, deps, posts_arr, flow_node, static_jobs, heads0,
+     next_job) = _fold_static(rec)
     values = values0.copy()
     nun = nun0.copy()
 
@@ -398,17 +437,88 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
             raise ReplayInvalid(
                 f"non-causal flow post: t={when} < now={eng.now}"
             )
-        schedule_at(when, transfer_cb, src, dst, nbytes, extra, flow_done, fi)
+        schedule_at(when, transfer_cb, src, dst, nbytes, extra, resolve,
+                    flow_node[fi])
 
-    # Propagation runs once per flow completion — the hot loop of a replay.
-    # Everything it touches is bound as a default argument: locals, not
-    # closure cells.  Iterative, because recursion could exceed the stack on
-    # deep shift chains.
-    def flow_done(fi: int, values=values, nun=nun, deps=deps,
-                  posts_arr=posts_arr, kinds=kinds, B=B,
-                  flow_node=flow_node, K_SHIFT=K_SHIFT,
-                  done_nodes=done_nodes, deadline=deadline) -> None:
-        stack = [(flow_node[fi], eng.now)]
+    # FIFO queues.  Jobs are served in (arrival, node index) order.  A job
+    # arriving while no job recorded before it on its queue still waits is
+    # next in that order and is served at once; any other waits in
+    # ``pending`` until the instant is complete, when ``admit`` serves the
+    # waiting jobs in key order.  ``heads[q]`` is queue q's first unserved
+    # job in recording order; ``last_t[q]``/``last_i[q]`` is the key of its
+    # latest service, and a job found later with a smaller key means the
+    # perturbation reordered that queue.
+    heads = heads0.copy()
+    nq = len(heads)
+    busy = [0.0] * nq
+    last_t = [0.0] * nq
+    last_i = [-1] * nq
+    pending: list = []
+    hooked = False
+
+    def serve(i: int, v: float) -> float:
+        """Serve job ``i`` arriving at ``v``; returns its finish time."""
+        q, duration = B[i]
+        lt = last_t[q]
+        if v < lt or (v == lt and i < last_i[q]):
+            raise ReplayInvalid(
+                f"perturbation reorders the FIFO progress queue of rank "
+                f"{q}: job {i} arrives at t={v} after job {last_i[q]} "
+                f"(t={lt}) was served; falling back to simulation"
+            )
+        last_t[q] = v
+        last_i[q] = i
+        nun[i] = 0
+        if heads[q] == i:
+            h = next_job[i]
+            while h is not None and nun[h] == 0:
+                h = next_job[h]
+            heads[q] = h
+        # The live queue's start = max(now, busy_until), operand for operand.
+        b = busy[q]
+        finish = (b if b > v else v) + duration
+        busy[q] = finish
+        return finish
+
+    def arrive(i: int, v: float) -> None:
+        """Job ``i`` arrives at ``v`` but cannot be served yet: wait for
+        instant ``v``, or at it, for the instant to complete."""
+        nonlocal hooked
+        if v > eng.now:
+            schedule_at(v, arrive_now, i, v)
+            return
+        heappush(pending, (v, i))
+        if not hooked:
+            hooked = True
+            eng.at_instant_end(admit)
+
+    def arrive_now(i: int, v: float) -> None:
+        """Instant ``v`` has come: serve job ``i`` if it is next in its
+        queue's recording order, else wait for the instant to complete."""
+        if heads[B[i][0]] == i:
+            resolve(i, serve(i, v))
+        else:
+            arrive(i, v)
+
+    def admit() -> None:
+        nonlocal hooked
+        while pending:
+            v, i = heappop(pending)
+            resolve(i, serve(i, v))
+        hooked = False
+
+    # Propagation runs once per flow completion and deferred queue job —
+    # the hot loop of a replay.  Everything it touches is bound as a default
+    # argument: locals, not closure cells.  Iterative, because recursion
+    # could exceed the stack on deep shift chains.
+    def resolve(i0: int, v0: float | None = None, values=values, nun=nun,
+                deps=deps, posts_arr=posts_arr, kinds=kinds, B=B,
+                heads=heads, K_SHIFT=K_SHIFT, K_MAX=K_MAX,
+                done_nodes=done_nodes, deadline=deadline) -> None:
+        # A flow completion passes no value: it resolves at the current
+        # instant.
+        now = eng.now
+        stack = [(i0, now if v0 is None else v0)]
         while stack:
             i, v = stack.pop()
             values[i] = v
@@ -429,9 +539,10 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
             if not dl:
                 continue
             for d in dl:
-                if kinds[d] == K_SHIFT:
+                k = kinds[d]
+                if k == K_SHIFT:
                     stack.append((d, v + B[d]))
-                else:  # K_MAX
+                elif k == K_MAX:
                     pm = values[d]
                     if pm is None or v > pm:
                         values[d] = v
@@ -439,13 +550,21 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
                     nun[d] = nd
                     if nd == 0:
                         stack.append((d, values[d]))
+                elif v == now and heads[B[d][0]] == d:
+                    # K_QUEUE, arriving now, next in its queue's order.
+                    stack.append((d, serve(d, v)))
+                else:  # K_QUEUE: served later
+                    arrive(d, v)
 
-    # Kick off every flow whose post time resolved statically; the rest
-    # cascade from flow completions inside the mini-simulation.
+    # Kick off every flow and queue job whose start resolved statically;
+    # the rest cascade from flow completions and queue admissions inside
+    # the mini-simulation.
     for post, fis in enumerate(posts_arr):
         if fis is not None and nun[post] == 0:
             for fi in fis:
                 post_flow(fi, values[post])
+    for i in static_jobs:
+        arrive(i, values[A[i]])
     eng.run()
 
     unresolved = sum(1 for i in range(n) if nun[i] != 0)
@@ -453,12 +572,6 @@ def replay(recording: GraphRecorder, params: NetworkParams | None = None,
         raise ReplayInvalid(
             f"{unresolved} graph node(s) never resolved (incomplete recording)"
         )
-    for lo, hi in rec.guards:
-        if values[lo] > values[hi]:
-            raise ReplayInvalid(
-                "perturbation reorders a FIFO compute queue "
-                f"({values[lo]} > {values[hi]}); falling back to simulation"
-            )
     final = eng.now
     for v in values:
         if v is not None and v > final:
@@ -564,7 +677,7 @@ def load_recording(source) -> GraphRecorder:
     ``source`` is a path (anything :func:`open` accepts) or an
     already-parsed dict from :meth:`GraphRecorder.to_jsonable`.  The
     reconstruction is exact: node operands regain their tuple form
-    (``K_MAX`` predecessor sets), mark keys are parsed back from their
+    (``K_MAX`` predecessor sets, ``K_QUEUE`` queue/duration pairs), mark keys are parsed back from their
     ``repr`` (they are tuples of strings and ints), and floats round-trip
     bit-for-bit through JSON's ``repr``-based encoding — so a replay of a
     loaded recording produces the same times as a replay of the original.
@@ -573,8 +686,9 @@ def load_recording(source) -> GraphRecorder:
     persist each scored candidate's graph next to the tuning db
     (:class:`repro.tune.graphstore.GraphStore`) and a fresh process scores
     warm-started shortlists through :func:`replay` instead of full
-    simulation.  Schema 1 artifacts (no machine constants) load with
-    ``machine=None``; anything else raises :class:`ReplayInvalid`.
+    simulation.  Any schema other than :data:`DUMP_SCHEMA` raises
+    :class:`ReplayInvalid`: schema 1 and 2 artifacts recorded progress
+    queues as max-plus chains, which this replayer no longer reads.
     """
     import ast
 
@@ -586,10 +700,10 @@ def load_recording(source) -> GraphRecorder:
         with open(source) as fh:
             doc = json.load(fh)
     schema = doc.get("schema")
-    if schema not in (1, DUMP_SCHEMA):
+    if schema != DUMP_SCHEMA:
         raise ReplayInvalid(
-            f"recording artifact has schema {schema!r}, expected 1 or "
-            f"{DUMP_SCHEMA}; re-dump it"
+            f"recording artifact has schema {schema!r}, expected "
+            f"{DUMP_SCHEMA}; re-record the run to replay it"
         )
     params = NetworkParams(**doc["params"])
     machine_doc = doc.get("machine")
@@ -600,9 +714,8 @@ def load_recording(source) -> GraphRecorder:
     kinds = [int(k) for k in doc["kinds"]]
     rec.kinds = kinds
     rec.a = [tuple(x) if isinstance(x, list) else x for x in doc["a"]]
-    rec.b = list(doc["b"])
+    rec.b = [tuple(x) if isinstance(x, list) else x for x in doc["b"]]
     rec.flows = [tuple(f) for f in doc["flows"]]
-    rec.guards = [tuple(g) for g in doc["guards"]]
     rec.marks = {ast.literal_eval(k): v for k, v in doc["marks"].items()}
     rec.meta = dict(doc.get("meta", {}))
     if not doc.get("valid", True):

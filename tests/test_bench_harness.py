@@ -42,6 +42,18 @@ class TestQuickRuns:
         assert name in text
         assert len(text.splitlines()) > 3
 
+    def test_fig3_quick_check_passes(self):
+        out = run_experiment("fig3", quick=True)
+        load_experiment("fig3").check(out)
+
+    def test_fig3_check_failure_names_the_claim(self):
+        mod = load_experiment("fig3")
+        out = run_experiment("fig3", quick=True)
+        for ppn in mod.PPNS:
+            out.values[(mod.MID_SIZE, ppn)] = 0.8 * mod.PEAK
+        with pytest.raises(AssertionError, match="PPN=1 reaches 9600 MB/s"):
+            mod.check(out)
+
     def test_fig6_quick_check_passes(self):
         out = run_experiment("fig6", quick=True)
         load_experiment("fig6").check(out)

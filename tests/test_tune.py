@@ -285,6 +285,46 @@ class TestReplayBackend:
         assert out.simulations == first.simulations
         assert all(rec.valid for rec in cache.values())
 
+    def test_drifted_retune_is_served_by_replay(self):
+        # +-10% drifts of alpha and nic_bandwidth reorder the reduction
+        # combines on the progress queues of this workload's graphs.  The
+        # replayer serves the recorded queues as queues, so the re-tune runs
+        # no simulation and decides exactly as a simulation-only one does.
+        from repro.tune.search import simulate_candidate
+
+        p, n = 3, 384
+        base = NetworkParams()
+        cold_tuner = Tuner(policy="auto", replay="auto")
+        cold = cold_tuner.autotune_ssc(p, n, params=base)
+        graphs = dict(cold_tuner.graph_cache)
+        # The cold search records only the shortlist entries it did not
+        # prune by deadline; record the rest so every score can be replayed.
+        for e in cold.trace:
+            key = (cold.signature.workload_key, e.candidate.key)
+            if e.status != "pruned-model" and key not in graphs:
+                *_, graphs[key] = simulate_candidate(
+                    cold.signature, e.candidate, base, record=True)
+        for a in (0.9, 1.1):
+            for b in (0.9, 1.1):
+                params = base.replace(alpha=base.alpha * a,
+                                      nic_bandwidth=base.nic_bandwidth * b)
+                tuners, recs = {}, {}
+                for mode in ("auto", "off"):
+                    db = TuningDB()
+                    db.insert(cold)
+                    tuners[mode] = Tuner(db, policy="auto", replay=mode)
+                    if mode == "auto":
+                        tuners[mode].graph_cache = dict(graphs)
+                    recs[mode] = tuners[mode].autotune_ssc(p, n,
+                                                           params=params)
+                on, off = recs["auto"], recs["off"]
+                assert tuners["auto"].simulations == 0
+                assert tuners["auto"].replays > 0
+                assert on.best.key == off.best.key
+                assert on.best_time == off.best_time
+                assert ([(e.candidate.key, e.sim_time) for e in on.trace]
+                        == [(e.candidate.key, e.sim_time) for e in off.trace])
+
     def test_unknown_replay_mode_rejected(self):
         from repro.tune.search import search
 

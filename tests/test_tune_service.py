@@ -374,6 +374,12 @@ class TestRecordingRoundtrip:
         bad["schema"] = 99
         with pytest.raises(ReplayInvalid, match="schema"):
             load_recording(bad)
+        # Schemas 1 and 2 recorded progress queues as max-plus chains plus
+        # order guards; they cannot be converted, only re-recorded.
+        for old in (1, 2):
+            stale = dict(doc, schema=old)
+            with pytest.raises(ReplayInvalid, match="re-record"):
+                load_recording(stale)
 
     def test_machine_params_roundtrip(self):
         from repro.kernels import run_ssc
