@@ -148,7 +148,6 @@ def fit_fabric_constants(
     tolerance: float = 1e-6,
     fd_step: float = 1e-4,
     machine=None,
-    solver: str = "auto",
 ) -> FitResult:
     """Fit ``fields`` of :class:`NetworkParams` to the observations.
 
@@ -190,8 +189,7 @@ def fit_fabric_constants(
         out = []
         for obs in observations:
             out.append(
-                replay_kernel_grid(obs.recording, points, machine=machine,
-                                   solver=solver)
+                replay_kernel_grid(obs.recording, points, machine=machine)
             )
             result.replays += len(points)
         return out

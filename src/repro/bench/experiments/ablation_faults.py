@@ -115,5 +115,10 @@ def check(output: ExperimentOutput) -> None:
         assert row["times"] == row["rerun_times"], f"{name} not reproducible"
     assert v["degraded-link"]["fallbacks"] > 0, "fallback path never exercised"
     assert v["jitter+drops"]["drops"] > 0, "drop scenario was vacuous"
-    assert v["jitter+drops"]["drops"] == v["jitter+drops"]["retries"]
-    assert v["chaos"]["tflops"] < healthy["tflops"]
+    jd = v["jitter+drops"]
+    assert jd["drops"] == jd["retries"], (
+        f"every dropped message must be retried exactly once: "
+        f"{jd['drops']} drops vs {jd['retries']} retries")
+    assert v["chaos"]["tflops"] < healthy["tflops"], (
+        f"chaos scenario not slower than the healthy fabric: "
+        f"{v['chaos']['tflops']:.4g} vs {healthy['tflops']:.4g} TFlop/s")

@@ -73,4 +73,7 @@ def check(output: ExperimentOutput) -> None:
         mt_rel_small = v[(op, "multithread", small)] / max(
             v[(op, "nonblocking", small)], v[(op, "ppn", small)]
         )
-        assert mt_rel_small < 0.9
+        assert mt_rel_small < 0.9, (
+            f"multithreading's small-message penalty vanished ({op}, "
+            f"{small} B): {mt_rel_small:.3f}x the best overlap technique "
+            f"(need < 0.9x)")

@@ -53,6 +53,8 @@ def run(quick: bool = False) -> ExperimentOutput:
 def check(output: ExperimentOutput) -> None:
     for (ppn, p), (tb, tr) in output.values.items():
         # Both placements produce sane throughput; sensitivity is bounded.
-        assert tb > 0 and tr > 0
+        assert tb > 0 and tr > 0, (
+            f"no throughput at PPN={ppn}, p={p}: block {tb:.4g}, "
+            f"round-robin {tr:.4g} TFlop/s")
         ratio = tr / tb
         assert 0.7 < ratio < 1.4, f"implausible placement swing at PPN={ppn}"

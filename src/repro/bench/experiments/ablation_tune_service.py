@@ -173,7 +173,9 @@ def run_coalescing_stampede(threads_n: int, sigs_n: int,
     # duplicates dropped); byte-identical db bytes are the determinism
     # contract the service docstring pins.
     twin = tune_serial(sigs, seed=SEED)
-    assert all(r is not None for r in results)
+    assert all(r is not None for r in results), (
+        f"stampede: {sum(r is None for r in results)} of {len(results)} "
+        f"requests returned no record")
     _reset_shared_plans()
     return {
         "threads": threads_n,
@@ -227,7 +229,9 @@ def _run_warm(quick: bool) -> dict:
         warm = svc.stats()
     finally:
         svc.close()
-    assert all(r is not None for r in results)
+    assert all(r is not None for r in results), (
+        f"warm wave: {sum(r is None for r in results)} of {len(results)} "
+        f"requests returned no record")
     _reset_shared_plans()
     return {
         "tuned_signatures": sigs_n,

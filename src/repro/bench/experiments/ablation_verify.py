@@ -101,4 +101,6 @@ def check(output: ExperimentOutput) -> None:
             f"{row['times_off']} -> {row['times_on']}"
         )
         assert row["findings"] == 0, f"{name}: verifier reported findings"
-        assert row["wall_on"] > 0 and row["wall_off"] > 0
+        assert row["wall_on"] > 0 and row["wall_off"] > 0, (
+            f"{name}: wall time not measured (on {row['wall_on']}, "
+            f"off {row['wall_off']})")

@@ -64,4 +64,6 @@ def check(output: ExperimentOutput) -> None:
         t4 = v[(n, 4)]
         assert t4 < 0.85 * t1, f"Alg.2 N_DUP=4 too weak at n={n}"
         # More parts keep helping or plateau; never collapse.
-        assert v[(n, 8)] < 1.1 * v[(n, 4)]
+        assert v[(n, 8)] < 1.1 * v[(n, 4)], (
+            f"Alg.2 collapsed from N_DUP=4 to 8 at n={n}: "
+            f"{v[(n, 4)]:.4g} -> {v[(n, 8)]:.4g} s (allowed: +10%)")

@@ -77,6 +77,11 @@ def check(output: ExperimentOutput) -> None:
     assert tc / tp > 1.5, f"pipelined CG speedup only {tc / tp:.2f}x at {big} ranks"
     # The advantage grows (weakly) with scale.
     small = ranks[0]
-    assert v[big][0] / v[big][1] >= 0.9 * (v[small][0] / v[small][1])
+    sp_big, sp_small = v[big][0] / v[big][1], v[small][0] / v[small][1]
+    assert sp_big >= 0.9 * sp_small, (
+        f"pipelined CG speedup shrank with scale: {sp_small:.3f}x at "
+        f"{small} ranks -> {sp_big:.3f}x at {big} ranks (allowed: -10%)")
     # Iteration time grows with rank count for classic (reduction latency).
-    assert v[big][0] > v[small][0]
+    assert v[big][0] > v[small][0], (
+        f"classic CG iteration time did not grow with ranks: "
+        f"{v[small][0]:.4g} s at {small} -> {v[big][0]:.4g} s at {big}")

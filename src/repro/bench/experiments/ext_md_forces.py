@@ -63,4 +63,7 @@ def check(output: ExperimentOutput) -> None:
     assert tb / to > 1.2, f"speedup only {tb / to:.2f}x at n={big}"
     # Step time grows with the particle count (sanity).
     counts = sorted(v)
-    assert v[counts[-1]][0] > v[counts[0]][0]
+    assert v[counts[-1]][0] > v[counts[0]][0], (
+        f"blocking step time did not grow with particle count: "
+        f"{v[counts[0]][0]:.4g} s at n={counts[0]} -> "
+        f"{v[counts[-1]][0]:.4g} s at n={counts[-1]}")

@@ -56,7 +56,10 @@ def check(output: ExperimentOutput) -> None:
     sizes = sorted({s for (_op, _c, s) in v})
     big = sizes[-1]
     # Blocking reduce bandwidth is well below blocking bcast at large sizes.
-    assert v[("reduce", "blocking", big)] < 0.55 * v[("bcast", "blocking", big)]
+    red, bc = v[("reduce", "blocking", big)], v[("bcast", "blocking", big)]
+    assert red < 0.55 * bc, (
+        f"blocking reduce at {format_size(big)} reaches {red / MB:.0f} MB/s, "
+        f"not well below blocking bcast's {bc / MB:.0f} MB/s (bound: 55%)")
     # Both overlap techniques beat blocking for both ops at large sizes.
     for op in ("bcast", "reduce"):
         for case in ("nonblocking", "ppn"):
@@ -64,5 +67,11 @@ def check(output: ExperimentOutput) -> None:
                 f"{case} did not beat blocking for {op}"
             )
     # 4-PPN wins for reduce; nonblocking overlap wins (or ties) for bcast.
-    assert v[("reduce", "ppn", big)] > v[("reduce", "nonblocking", big)]
-    assert v[("bcast", "nonblocking", big)] >= 0.95 * v[("bcast", "ppn", big)]
+    ppn, nbc = v[("reduce", "ppn", big)], v[("reduce", "nonblocking", big)]
+    assert ppn > nbc, (
+        f"4-PPN did not win for reduce at {format_size(big)}: "
+        f"{ppn / MB:.0f} vs nonblocking {nbc / MB:.0f} MB/s")
+    nbc, ppn = v[("bcast", "nonblocking", big)], v[("bcast", "ppn", big)]
+    assert nbc >= 0.95 * ppn, (
+        f"nonblocking overlap lost to 4-PPN for bcast at {format_size(big)}: "
+        f"{nbc / MB:.0f} vs {ppn / MB:.0f} MB/s (allowed: -5%)")

@@ -74,19 +74,30 @@ def check(output: ExperimentOutput) -> None:
     # Posting the four overlapped Ireduces is serialized: each part costs
     # roughly a quarter of the 8 MB posting.
     parts = [v[("reduce", f"{i}th nonblocking reduce")][0] for i in (1, 2, 3, 4)]
-    assert abs(sum(parts) - red_post_8) / red_post_8 < 0.35
+    assert abs(sum(parts) - red_post_8) / red_post_8 < 0.35, (
+        f"the four Ireduce postings sum to {sum(parts) * 1e6:.0f} us, not "
+        f"within 35% of the 8 MB posting's {red_post_8 * 1e6:.0f} us")
     # Overlapped operations complete nearly together.
     finishes = [v[("reduce", f"{i}th nonblocking reduce")][2] for i in (1, 2, 3, 4)]
-    assert max(finishes) - min(finishes) < 0.35 * max(finishes)
+    assert max(finishes) - min(finishes) < 0.35 * max(finishes), (
+        f"overlapped Ireduces do not finish together: finishes span "
+        f"{min(finishes) * 1e3:.3f}-{max(finishes) * 1e3:.3f} ms "
+        f"(bound: spread < 35% of the last)")
     # Both overlap techniques beat blocking; 4-PPN wins for reduce,
     # nonblocking overlap wins for bcast.
     red_blocking = v[("reduce", "Blocking 8MB")][2]
     red_nbc = max(finishes)
     red_ppn = max(v[("reduce", f"proc {i} blocking reduce (4 PPN)")][2] for i in (1, 2, 3, 4))
-    assert red_nbc < red_blocking and red_ppn < red_blocking
+    assert red_nbc < red_blocking and red_ppn < red_blocking, (
+        f"an overlap technique did not beat blocking reduce "
+        f"({red_blocking * 1e3:.3f} ms): nonblocking {red_nbc * 1e3:.3f} ms, "
+        f"4-PPN {red_ppn * 1e3:.3f} ms")
     assert red_ppn < red_nbc, "4-PPN should beat nonblocking overlap for reduce"
     bc_blocking = v[("bcast", "Blocking 8MB")][2]
     bc_nbc = max(v[("bcast", f"{i}th nonblocking bcast")][2] for i in (1, 2, 3, 4))
     bc_ppn = max(v[("bcast", f"proc {i} blocking bcast (4 PPN)")][2] for i in (1, 2, 3, 4))
-    assert bc_nbc < bc_blocking and bc_ppn < bc_blocking
+    assert bc_nbc < bc_blocking and bc_ppn < bc_blocking, (
+        f"an overlap technique did not beat blocking bcast "
+        f"({bc_blocking * 1e3:.3f} ms): nonblocking {bc_nbc * 1e3:.3f} ms, "
+        f"4-PPN {bc_ppn * 1e3:.3f} ms")
     assert bc_nbc < bc_ppn, "nonblocking overlap should beat 4-PPN for bcast"

@@ -80,11 +80,19 @@ def check(output: ExperimentOutput) -> None:
     v = output.values
     model = v["model"]
     # The closed-form model regenerates the paper's numbers exactly (<2%).
-    assert abs(model["T_p2p"] - 2.324e-3) / 2.324e-3 < 0.02
-    assert abs(model["T_bcast"] - 3.487e-3) / 3.487e-3 < 0.02
-    assert abs(model["T_baseline"] - 0.02208) / 0.02208 < 0.02
-    assert abs(v["block_paper_units"] / MB - 27.89) < 0.1
+    for key, paper in (("T_p2p", 2.324e-3), ("T_bcast", 3.487e-3),
+                       ("T_baseline", 0.02208)):
+        assert abs(model[key] - paper) / paper < 0.02, (
+            f"model {key} = {model[key]:.6g} s, not within 2% of the "
+            f"paper's {paper:.6g} s")
+    block = v["block_paper_units"] / MB
+    assert abs(block - 27.89) < 0.1, (
+        f"block size {block:.3f} MB, not within 0.1 of the paper's 27.89 MB")
     # Simulated comm time exceeds the ideal model (paper: 3.3x; accept >1.5x)
     # and computation is clearly dominated by communication.
-    assert v["comm_time"] > 1.5 * model["T_baseline"]
-    assert v["comm_time"] > v["mm_time"]
+    assert v["comm_time"] > 1.5 * model["T_baseline"], (
+        f"simulated comm time {v['comm_time']:.6g} s is not > 1.5x the "
+        f"ideal model's {model['T_baseline']:.6g} s (paper: 3.3x)")
+    assert v["comm_time"] > v["mm_time"], (
+        f"communication ({v['comm_time']:.6g} s) does not dominate "
+        f"computation ({v['mm_time']:.6g} s)")

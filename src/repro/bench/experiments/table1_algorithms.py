@@ -87,4 +87,6 @@ def check(output: ExperimentOutput) -> None:
     # Larger systems run at higher absolute TFlop/s (bandwidth amortization).
     if len(output.values) == 3:
         t45, t60, t70 = (output.values[s][2] for s in ("1hsg_45", "1hsg_60", "1hsg_70"))
-        assert t45 < t60 < t70
+        assert t45 < t60 < t70, (
+            f"Alg.5 TFlop/s does not grow with system size: 1hsg_45 "
+            f"{t45:.4g}, 1hsg_60 {t60:.4g}, 1hsg_70 {t70:.4g}")

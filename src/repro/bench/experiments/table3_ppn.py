@@ -79,10 +79,16 @@ def check(output: ExperimentOutput) -> None:
     for ppn in ppns:
         assert v[(ppn, 4)] > 1.05 * v[(ppn, 1)], f"N_DUP=4 not faster at PPN={ppn}"
     # Multiple PPN helps even without nonblocking overlap.
-    assert max(v[(p, 1)] for p in ppns if p > 1) > 1.1 * v[(1, 1)]
+    multi = max(v[(p, 1)] for p in ppns if p > 1)
+    assert multi > 1.1 * v[(1, 1)], (
+        f"multiple PPN without overlap gains too little: best "
+        f"{multi:.4g} vs PPN=1 {v[(1, 1)]:.4g} TFlop/s (need > +10%)")
     # The paper's surprise: N_DUP=4 @ PPN=2 >= N_DUP=1 @ any PPN.
     if (2, 4) in v:
-        assert v[(2, 4)] >= 0.98 * max(v[(p, 1)] for p in ppns)
+        best_nd1 = max(v[(p, 1)] for p in ppns)
+        assert v[(2, 4)] >= 0.98 * best_nd1, (
+            f"N_DUP=4 @ PPN=2 ({v[(2, 4)]:.4g} TFlop/s) lost to the best "
+            f"N_DUP=1 point ({best_nd1:.4g} TFlop/s; allowed: -2%)")
     # Combined techniques give a large end-to-end speedup (paper: +91%).
     best = max(v[(p, 4)] for p in ppns)
     assert best > 1.45 * v[(1, 1)], "combined overlap speedup too small"

@@ -119,9 +119,21 @@ def check(output: ExperimentOutput) -> None:
     ppns = sorted(v)
     lo, hi = ppns[0], ppns[-1]
     # Volume per node grows with PPN...
-    assert v[hi]["volume_per_node"] > 1.1 * v[lo]["volume_per_node"]
+    a, b = v[lo]["volume_per_node"], v[hi]["volume_per_node"]
+    assert b > 1.1 * a, (
+        f"volume per node did not grow from PPN={lo} to {hi}: "
+        f"{a / MB:.1f} -> {b / MB:.1f} MB (need > +10%)")
     # ...while measured collective bandwidths grow...
-    assert v[hi]["bw_reduce"] > 1.5 * v[lo]["bw_reduce"]
-    assert v[hi]["bw_bcast"] >= 0.95 * v[lo]["bw_bcast"]
+    a, b = v[lo]["bw_reduce"], v[hi]["bw_reduce"]
+    assert b > 1.5 * a, (
+        f"reduce bandwidth did not grow from PPN={lo} to {hi}: "
+        f"{a / GB:.3f} -> {b / GB:.3f} GB/s (need > 1.5x)")
+    a, b = v[lo]["bw_bcast"], v[hi]["bw_bcast"]
+    assert b >= 0.95 * a, (
+        f"bcast bandwidth fell from PPN={lo} to {hi}: "
+        f"{a / GB:.3f} -> {b / GB:.3f} GB/s (allowed: -5%)")
     # ...and the actual inter-node communication time drops.
-    assert v[hi]["actual_time"] < 0.9 * v[lo]["actual_time"]
+    a, b = v[lo]["actual_time"], v[hi]["actual_time"]
+    assert b < 0.9 * a, (
+        f"inter-node comm time did not drop from PPN={lo} to {hi}: "
+        f"{a:.4g} -> {b:.4g} s (need < 0.9x)")

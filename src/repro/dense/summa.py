@@ -246,24 +246,22 @@ def run_summa(
     (many runs then share one warm cache and coalesced searches).  The
     decision trace is attached as ``SummaResult.tuning``.  ``tune_db`` is
     an optional :class:`~repro.tune.db.TuningDB` for warm starts (policy
-    strings only — a tuner object brings its own db).
+    strings only — with a tuner object it raises :class:`ValueError`).
     """
     if tune is not None:
-        from repro.tune.candidates import apply_collective
-        from repro.tune.tuner import Tuner
+        from repro.tune import signature_for_summa, tune_for_run
 
-        tuner = (Tuner(db=tune_db, policy=tune) if isinstance(tune, str)
-                 else tune)
-        decision = tuner.autotune_summa(p, n, ppn=ppn, params=params,
-                                        machine=machine)
+        decision, eff = tune_for_run(
+            tune, signature_for_summa(p, n, ppn=ppn, params=params,
+                                      machine=machine),
+            tune_db=tune_db, params=params, machine=machine)
         best = decision.best
-        eff = apply_collective(params or NetworkParams(), best.collective)
         if best.algorithm == "colored" and eff.num_channels < best.n_dup:
             eff = eff.replace(num_channels=best.n_dup)
         result = run_summa(
             p, n, a, b, algorithm=best.algorithm, colors=best.n_dup,
             depth=best.depth, ppn=best.ppn, params=eff, machine=machine,
-            deadline=deadline, record=record,
+            deadline=deadline, record=record, trace=trace,
         )
         result.tuning = decision
         return result

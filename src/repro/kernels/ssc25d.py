@@ -204,7 +204,6 @@ def run_ssc25d(
     tune_db=None,
     deadline: float | None = None,
     record: bool = False,
-    solver: str = "scalar",
 ) -> SSC25DResult:
     """Run Algorithm 6 on a fresh ``q x q x c`` world (cf. :func:`run_ssc`).
 
@@ -217,21 +216,18 @@ def run_ssc25d(
     check_positive("iterations", iterations)
     validate_ssc25d_config(q, c, n, n_dup, ppn=max(ppn, 1))
     if tune is not None:
-        from repro.tune.candidates import apply_collective
-        from repro.tune.tuner import Tuner
+        from repro.tune import signature_for_ssc25d, tune_for_run
 
-        tuner = (Tuner(db=tune_db, policy=tune) if isinstance(tune, str)
-                 else tune)
-        decision = tuner.autotune_ssc25d(q, c, n, ppn=ppn, params=params,
-                                         machine=machine)
+        decision, eff = tune_for_run(
+            tune, signature_for_ssc25d(q, c, n, ppn=ppn, params=params,
+                                       machine=machine),
+            tune_db=tune_db, params=params, machine=machine)
         best = decision.best
         bq, _bq, bc = best.mesh
-        eff = apply_collective(params or NetworkParams(), best.collective)
         result = run_ssc25d(
             bq, bc, n, d, n_dup=best.n_dup, ppn=best.ppn,
             iterations=iterations, params=eff, machine=machine, verify=verify,
             verify_plans=verify_plans, deadline=deadline, record=record,
-            solver=solver,
         )
         result.tuning = decision
         return result
@@ -240,7 +236,7 @@ def run_ssc25d(
         raise ValueError("SymmSquareCube requires a symmetric input matrix")
     world = World(block_placement(q * q * c, max(ppn, 1)), params=params,
                   machine=machine, verify=verify, verify_plans=verify_plans,
-                  record=record, solver=solver)
+                  record=record)
     mesh = Mesh3D(world, q, q, c, n_dup=max(n_dup, 1))
 
     def program(env: RankEnv):

@@ -539,7 +539,6 @@ def run_ssc(
     tune_db=None,
     deadline: float | None = None,
     record: bool = False,
-    solver: str = "scalar",
 ) -> SSCResult:
     """Run ``iterations`` SymmSquareCube calls on a fresh ``p^3`` world.
 
@@ -579,7 +578,7 @@ def run_ssc(
     this workload (overriding the corresponding arguments), and the
     decision trace is attached as ``SSCResult.tuning``.  ``tune_db`` is an
     optional :class:`~repro.tune.db.TuningDB` for warm starts (policy
-    strings only — a tuner object brings its own db).
+    strings only — with a tuner object it raises :class:`ValueError`).
 
     ``deadline`` bounds the simulation at that virtual time and raises
     :class:`~repro.sim.engine.DeadlineExceeded` if the kernel has not
@@ -589,21 +588,18 @@ def run_ssc(
     check_placement(placement)
     validate_ssc_config(p, n, algorithm, n_dup, ppn=max(ppn, 1))
     if tune is not None:
-        from repro.tune.candidates import apply_collective
-        from repro.tune.tuner import Tuner
+        from repro.tune import signature_for_ssc, tune_for_run
 
-        tuner = (Tuner(db=tune_db, policy=tune) if isinstance(tune, str)
-                 else tune)
-        decision = tuner.autotune_ssc(p, n, ppn=ppn, placement=placement,
-                                      params=params, machine=machine)
+        decision, eff = tune_for_run(
+            tune, signature_for_ssc(p, n, ppn=ppn, placement=placement,
+                                    params=params, machine=machine),
+            tune_db=tune_db, params=params, machine=machine)
         best = decision.best
-        eff = apply_collective(params or NetworkParams(), best.collective)
         result = run_ssc(
             p, n, best.algorithm, d, n_dup=best.n_dup, ppn=best.ppn,
             iterations=iterations, params=eff, machine=machine,
             placement=placement, trace=trace, faults=faults, verify=verify,
             verify_plans=verify_plans, deadline=deadline, record=record,
-            solver=solver,
         )
         result.tuning = decision
         return result
@@ -618,7 +614,7 @@ def run_ssc(
         cluster = round_robin_placement(ranks, -(-ranks // ppn))
     world = World(cluster, params=params, machine=machine, trace=trace,
                   faults=faults, verify=verify, verify_plans=verify_plans,
-                  record=record, solver=solver)
+                  record=record)
     mesh = Mesh3D(world, p, n_dup=max(n_dup, 1))
     program_fn = _ALGORITHMS[algorithm]
 

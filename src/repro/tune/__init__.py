@@ -19,11 +19,12 @@ automates that choice per workload:
   ``run_ssc(..., tune="auto")`` and ``python -m repro.tune``;
 * :mod:`~repro.tune.graphstore` — persisted recorded event graphs, so a
   fresh process replays shortlist scoring instead of re-simulating;
-* :mod:`~repro.tune.service` — tuning as a shared resource: the concurrent
-  :class:`TuningService` (record cache, request coalescing, interpolated
-  warm starts, stale-while-revalidate re-tuning), the unix-socket
-  :class:`TuningServer`/:class:`TuningClient` pair, and the file-locked
-  multiprocess mode (:class:`LockedTuningDB`).
+* :mod:`~repro.tune.service` — tuning as a shared in-process resource: the
+  thread-safe :class:`TuningService` (record cache, request coalescing,
+  interpolated warm starts, stale-while-revalidate re-tuning);
+* :func:`~repro.tune.tuner.tune_for_run` — the one tune dispatch every
+  tunable runner (``run_ssc``, ``run_ssc25d``, ``run_summa``) calls with its
+  own signature, for a policy string, a ``Tuner`` or a ``TuningService``.
 
 This ``__init__`` imports only the kernel-free layers eagerly; the
 :class:`Tuner` and the search (which import the kernels) load lazily, so the
@@ -64,16 +65,13 @@ _LAZY = {
     "TUNING_POLICIES": "repro.tune.tuner",
     "check_policy": "repro.tune.tuner",
     "interpolation_seeds": "repro.tune.tuner",
+    "tune_for_run": "repro.tune.tuner",
     "search": "repro.tune.search",
     "model_time": "repro.tune.search",
     "simulate_candidate": "repro.tune.search",
     "SearchOutcome": "repro.tune.search",
     "GraphStore": "repro.tune.graphstore",
     "TuningService": "repro.tune.service",
-    "TuningServer": "repro.tune.service",
-    "TuningClient": "repro.tune.service",
-    "LockedTuningDB": "repro.tune.service",
-    "run_server": "repro.tune.service",
     "tune_serial": "repro.tune.service",
     "find_neighbor": "repro.tune.service",
     "degraded_params": "repro.tune.service",

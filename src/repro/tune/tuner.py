@@ -2,9 +2,10 @@
 
 A :class:`Tuner` binds a :class:`~repro.tune.db.TuningDB` (possibly
 ephemeral) to a :class:`TuningPolicy` and exposes one method per kernel.
-The kernels call these through ``run_ssc(..., tune="auto")`` /
-``run_ssc25d(..., tune="auto")``; the CLI (``python -m repro.tune``) and the
-``ablation-autotune`` bench experiment call them directly.
+The kernels reach the tuner through :func:`tune_for_run`, the single tune
+dispatch behind ``run_ssc(..., tune="auto")``, ``run_ssc25d`` and
+``run_summa``; the CLI (``python -m repro.tune``) and the
+``ablation-autotune`` bench experiment call the per-kernel methods directly.
 
 Policies
 --------
@@ -27,8 +28,8 @@ from __future__ import annotations
 import threading
 
 from repro.netmodel.params import MachineParams, NetworkParams
-from repro.tune.candidates import Candidate, enumerate_candidates, \
-    paper_default_candidate
+from repro.tune.candidates import Candidate, apply_collective, \
+    enumerate_candidates, paper_default_candidate
 from repro.tune.db import TuningDB, TuningRecord
 from repro.tune.search import (
     DEFAULT_MAX_CANDIDATES,
@@ -71,6 +72,33 @@ def interpolation_seeds(record: TuningRecord) -> list[Candidate]:
     return sorted((t.candidate for t in record.trace
                    if t.sim_time is not None),
                   key=lambda c: c.key)
+
+
+def tune_for_run(tune, sig: WorkloadSignature, *, tune_db: TuningDB | None = None,
+                 params: NetworkParams | None = None,
+                 machine: MachineParams | None = None,
+                 ) -> tuple[TuningRecord, NetworkParams]:
+    """The tune dispatch shared by every tunable kernel runner.
+
+    ``tune`` is a :data:`TuningPolicy` string (a private :class:`Tuner`
+    over ``tune_db``) or a :class:`Tuner` /
+    :class:`~repro.tune.service.TuningService`, which brings its own db —
+    so ``tune_db`` alongside one is rejected, not ignored.  Returns the
+    record for the runner's ``sig`` and the fabric constants with the
+    winner's collective schedule applied.
+    """
+    if isinstance(tune, str):
+        tuner = Tuner(db=tune_db, policy=tune)
+    elif tune_db is not None:
+        raise ValueError(
+            "tune_db only applies to a tuning-policy string; a tuner object "
+            f"({type(tune).__name__}) brings its own db"
+        )
+    else:
+        tuner = tune
+    record = tuner.tune(sig, params=params, machine=machine)
+    return record, apply_collective(params or NetworkParams(),
+                                    record.best.collective)
 
 
 class Tuner:
@@ -190,28 +218,6 @@ class Tuner:
         outcome = self._search(sig, params=params, machine=machine,
                                seed_shortlist=seed_shortlist)
         return self._record(sig, outcome)
-
-    def interpolate_from(self, sig: WorkloadSignature,
-                         neighbor: TuningRecord, *,
-                         params: NetworkParams | None = None,
-                         machine: MachineParams | None = None,
-                         ) -> TuningRecord:
-        """Tune ``sig`` by warm-starting from a nearby workload's record.
-
-        The neighbor's surviving shortlist (every trace entry that was
-        actually scored, ``sim_time`` set) seeds stage 2; stage 1's full
-        enumeration still runs (it is microseconds and provides validity
-        filtering plus the trace), but only the re-ranked seeds are
-        simulated/replayed.  The result is inserted under ``sig``'s key
-        with ``interpolated`` statuses.  This is the serial twin of the
-        service's interpolation path — the byte-identity tests compare
-        the two.
-        """
-        seeds = interpolation_seeds(neighbor)
-        record = self.search_record(sig, params=params, machine=machine,
-                                    seed_shortlist=seeds)
-        self.db.insert(record)
-        return record
 
     def _search(self, sig: WorkloadSignature, *,
                 params: NetworkParams | None,

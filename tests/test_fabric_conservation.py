@@ -10,13 +10,6 @@ only at the end, so a violation pinpoints the instant it happened.
 Also pins the `_flows_at` leak fix: resource keys whose flow sets drain
 must be pruned, so long-lived fabrics stay O(active flows), not O(every
 resource ever touched).
-
-Every property case additionally runs under both fair-share solvers
-(``solver="scalar"`` and ``solver="vector"``, see
-:class:`repro.netmodel.fabric.Fabric`): byte accounting, completion
-order, per-recompute share assignments and engine counters must be
-bit-for-bit identical — the vectorized pass is an implementation detail,
-never a semantic choice.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -32,21 +25,14 @@ PPN = 2
 
 
 class ProbeFabric(Fabric):
-    """Fabric that checks conservation invariants at every recompute.
-
-    Also keeps ``rate_log`` — a per-recompute snapshot of every active
-    flow's assigned rate — so two runs can be compared share-by-share,
-    not just on their end-state byte counters.
-    """
+    """Fabric that checks conservation invariants at every recompute."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.completions: list[tuple[float, float]] = []  # (nbytes, residual)
-        self.rate_log: list[tuple] = []  # (now, ((fid, rate), ...))
 
     def _update(self, keys):
         super()._update(keys)
-        seen: dict[int, float] = {}
         for flows in self._flows_at.values():
             for f in flows.values():
                 assert f.remaining >= -_EPS_BYTES, (
@@ -55,21 +41,17 @@ class ProbeFabric(Fabric):
                 assert f.rate >= 0.0
                 if f.rate > 0.0:
                     assert f.eta >= self.engine.now
-                seen[f.fid] = f.rate
-        self.rate_log.append(
-            (self.engine.now, tuple(sorted(seen.items())))
-        )
 
     def _complete(self, flow):
         self.completions.append((flow.nbytes, flow.remaining))
         super()._complete(flow)
 
 
-def drive(flow_spec, faults=None, solver="scalar"):
+def drive(flow_spec, faults=None):
     """Post (src, dst_offset, nbytes, t_start) flows; run to completion."""
     eng = Engine()
     fab = ProbeFabric(eng, block_placement(RANKS, PPN),
-                      NetworkParams(), faults=faults, solver=solver)
+                      NetworkParams(), faults=faults)
     finish_times = []
     for (src, doff, nbytes, t0) in flow_spec:
         dst = (src + 1 + doff) % RANKS
@@ -109,12 +91,12 @@ CHANNEL_FLOWS = st.lists(
 )
 
 
-def drive_channels(flow_spec, faults=None, solver="scalar"):
+def drive_channels(flow_spec, faults=None):
     """Like :func:`drive`, but each flow rides its spec's channel."""
     eng = Engine()
     fab = ProbeFabric(eng, block_placement(RANKS, PPN),
                       NetworkParams(num_channels=N_CHANNELS),
-                      faults=faults, solver=solver)
+                      faults=faults)
     finish_times = []
     for (src, doff, nbytes, t0, channel) in flow_spec:
         dst = (src + 1 + doff) % RANKS
@@ -179,29 +161,13 @@ def check_conserved(fab, flow_spec, finish_times):
     assert fab._dirty == {}
 
 
-def check_solvers_agree(scalar_run, vector_run):
-    """The two fair-share solvers must be observationally identical."""
-    eng_s, fab_s, finish_s = scalar_run
-    eng_v, fab_v, finish_v = vector_run
-    assert finish_s == finish_v              # completion instants, in order
-    assert fab_s.completions == fab_v.completions  # byte accounting per flow
-    assert fab_s.rate_log == fab_v.rate_log  # every share assignment, every
-    assert fab_s.inter_node_bytes == fab_v.inter_node_bytes  # recompute
-    assert fab_s.intra_node_bytes == fab_v.intra_node_bytes
-    assert eng_s.events_processed == eng_v.events_processed
-    assert eng_s.events_cancelled == eng_v.events_cancelled
-
-
 class TestConservation:
     @settings(max_examples=40, deadline=None)
     @given(flows=FLOWS)
     def test_arbitrary_interleavings_conserve_bytes(self, flows):
-        runs = {}
-        for solver in ("scalar", "vector"):
-            eng, fab, finish = runs[solver] = drive(flows, solver=solver)
-            check_conserved(fab, flows, finish)
-            assert eng.idle  # heap fully drained (dead entries reaped)
-        check_solvers_agree(runs["scalar"], runs["vector"])
+        eng, fab, finish = drive(flows)
+        check_conserved(fab, flows, finish)
+        assert eng.idle  # heap fully drained (dead entries reaped)
 
     @settings(max_examples=40, deadline=None)
     @given(flows=FLOWS, windows=WINDOWS, seed=st.integers(0, 3))
@@ -212,25 +178,16 @@ class TestConservation:
                                          t_end=t0 + length, factor=factor))
         specs.append(NicJitter(node=0, t_start=0.0, t_end=0.05,
                                max_extra_latency=1e-5))
-        runs = {}
-        for solver in ("scalar", "vector"):
-            plan = FaultPlan(specs, seed=seed)
-            eng, fab, finish = runs[solver] = drive(flows, faults=plan,
-                                                    solver=solver)
-            check_conserved(fab, flows, finish)
-            assert eng.idle
-        check_solvers_agree(runs["scalar"], runs["vector"])
+        eng, fab, finish = drive(flows, faults=FaultPlan(specs, seed=seed))
+        check_conserved(fab, flows, finish)
+        assert eng.idle
 
     @settings(max_examples=30, deadline=None)
     @given(flows=CHANNEL_FLOWS)
     def test_random_channel_assignment_conserves_per_lane(self, flows):
-        runs = {}
-        for solver in ("scalar", "vector"):
-            eng, fab, finish = runs[solver] = drive_channels(flows,
-                                                             solver=solver)
-            check_channels_conserved(fab, flows, finish)
-            assert eng.idle
-        check_solvers_agree(runs["scalar"], runs["vector"])
+        eng, fab, finish = drive_channels(flows)
+        check_channels_conserved(fab, flows, finish)
+        assert eng.idle
 
     @settings(max_examples=30, deadline=None)
     @given(flows=CHANNEL_FLOWS, windows=WINDOWS, seed=st.integers(0, 3))
@@ -242,22 +199,10 @@ class TestConservation:
                                          t_end=t0 + length, factor=factor))
         specs.append(NicJitter(node=0, t_start=0.0, t_end=0.05,
                                max_extra_latency=1e-5))
-        runs = {}
-        for solver in ("scalar", "vector"):
-            plan = FaultPlan(specs, seed=seed)
-            eng, fab, finish = runs[solver] = drive_channels(
-                flows, faults=plan, solver=solver)
-            check_channels_conserved(fab, flows, finish)
-            assert eng.idle
-        check_solvers_agree(runs["scalar"], runs["vector"])
-
-    @settings(max_examples=15, deadline=None)
-    @given(flows=FLOWS)
-    def test_auto_solver_matches_scalar(self, flows):
-        # "auto" only vectorizes recomputes above its flow threshold, so a
-        # run mixes both code paths — it must still match scalar exactly.
-        check_solvers_agree(drive(flows, solver="scalar"),
-                            drive(flows, solver="auto"))
+        eng, fab, finish = drive_channels(
+            flows, faults=FaultPlan(specs, seed=seed))
+        check_channels_conserved(fab, flows, finish)
+        assert eng.idle
 
     @settings(max_examples=20, deadline=None)
     @given(flows=FLOWS)

@@ -385,6 +385,48 @@ class TestKernelIntegration:
         assert res.tuning.best.kernel == "ssc25d"
         assert res.tuning.best_time <= res.tuning.default_time
 
+    def test_run_ssc_tune_service_matches_tuner(self):
+        # A TuningService is a valid tune= argument: the shared dispatch
+        # calls its tune() with the runner's signature, exactly like a Tuner.
+        from repro.tune.service import TuningService
+
+        svc = TuningService(TuningDB(), seed=3)
+        try:
+            via_service = run_ssc(2, 256, tune=svc)
+        finally:
+            svc.close()
+        via_tuner = run_ssc(2, 256, tune=Tuner(seed=3))
+        a, b = via_service.tuning, via_tuner.tuning
+        assert a.best == b.best
+        assert a.best_time == b.best_time
+        assert a.to_bytes() == b.to_bytes()
+        assert via_service.times == via_tuner.times
+
+    @pytest.mark.parametrize("runner", ["ssc", "ssc25d", "summa"])
+    def test_tune_db_with_tuner_object_is_rejected(self, runner):
+        from repro.dense import run_summa
+
+        tuner = Tuner()
+        call = {
+            "ssc": lambda: run_ssc(2, 64, tune=tuner, tune_db=TuningDB()),
+            "ssc25d": lambda: run_ssc25d(2, 2, 64, tune=tuner,
+                                         tune_db=TuningDB()),
+            "summa": lambda: run_summa(2, 64, tune=tuner, tune_db=TuningDB()),
+        }[runner]
+        with pytest.raises(ValueError, match="tune_db"):
+            call()
+        assert tuner.simulations == 0 and len(tuner.db) == 0
+
+    def test_run_summa_tune_forwards_trace(self):
+        from repro.dense import run_summa
+
+        plain = run_summa(2, 256, trace=True)
+        tuned = run_summa(2, 256, tune="model-only", trace=True)
+        assert plain.world.trace.records
+        assert tuned.world.trace.records
+        assert tuned.world.fabric.flow_log is not None
+        assert tuned.world.fabric.flow_records()
+
     def test_deadline_raises_when_too_tight(self):
         with pytest.raises(DeadlineExceeded, match="exceeded deadline"):
             run_ssc(2, 256, deadline=1e-9)
