@@ -22,10 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dense.distribution import block_dim, block_range, part_slices
+from repro.dense.distribution import (
+    block_dim,
+    block_range,
+    part_slices,
+    partition_matrix,
+)
 from repro.dense.mesh import Mesh2D
 from repro.mpi.requests import waitall
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
 from repro.util import check_positive
 
@@ -127,34 +132,28 @@ def run_matvec(
     them ``None`` and only the elapsed virtual time is meaningful.
     """
     check_positive("p", p)
+    check_positive("ppn", ppn)
     if (a is None) != (x is None):
         raise ValueError("pass both a and x, or neither")
     world = World(block_placement(p * p, ppn), params=params, machine=machine,
                   trace=trace)
     mesh = Mesh2D(world, p, n_dup=max(n_dup, 1))
+    a_blocks = partition_matrix(a, p) if a is not None else {}
 
     def program(env: RankEnv):
         i, j = mesh.coords_of(env.rank)
+        a_blk = x_blk = None
         if a is not None:
-            rlo, rhi = block_range(i, n, p)
             clo, chi = block_range(j, n, p)
-            a_blk = np.ascontiguousarray(a[rlo:rhi, clo:chi])
+            a_blk = a_blocks[(i, j)]
             x_blk = np.ascontiguousarray(x[clo:chi])
-        else:
-            a_blk = x_blk = None
         result = yield from matvec_program(
             env, mesh, n, a_blk, x_blk, n_dup=n_dup, overlapped=overlapped
         )
         return result
 
-    world.spawn_all(program, ranks=range(p * p))
-    elapsed = world.run()
+    outs = execute(world, program, kernel="matvec")
     y = None
-    if a is not None:
-        y = np.zeros(n)
-        results = world.results()
-        for rank, y_blk in enumerate(results):
-            _i, jj = mesh.coords_of(rank)
-            lo, hi = block_range(jj, n, p)
-            y[lo:hi] = y_blk  # every row of column jj agrees; last write wins
-    return MatvecResult(y=y, elapsed=elapsed, world=world)
+    if a is not None:  # every row of mesh column j holds the same y[j] block
+        y = np.concatenate([outs[mesh.rank_of(p - 1, j)] for j in range(p)])
+    return MatvecResult(y=y, elapsed=world.engine.now, world=world)

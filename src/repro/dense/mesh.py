@@ -82,6 +82,11 @@ class Mesh3D:
         i, j = divmod(rem, self.pj)
         return i, j, k
 
+    def front_face(self, values: list) -> dict[tuple[int, int], object]:
+        """``values`` (indexed by global rank) keyed by front-face ``(i, j)``."""
+        return {(i, j): values[self.rank_of(i, j, 0)]
+                for i in range(self.pi) for j in range(self.pj)}
+
     # Communicator accessors: ``c`` selects the N_DUP duplicate (0-based).
 
     def row_comm(self, j: int, k: int, c: int = 0) -> Comm:

@@ -14,16 +14,14 @@ algorithm limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dense.cannon import cannon_program
-from repro.dense.distribution import block_range
 from repro.dense.mesh import Mesh3D
+from repro.dense.mm3d import MM3DResult, _run_front_face_product
 from repro.mpi.collectives.plan import block_partition
-from repro.mpi.world import RankEnv, World
-from repro.netmodel import MachineParams, NetworkParams, block_placement
+from repro.mpi.world import RankEnv
+from repro.netmodel import MachineParams, NetworkParams
 from repro.util import check_positive
 
 
@@ -76,13 +74,8 @@ def mm25d_program(
     return None
 
 
-@dataclass
-class MM25DResult:
-    """Outcome of :func:`run_mm25d`."""
-
-    c: np.ndarray | None
-    elapsed: float
-    world: World
+#: 2.5D reports the same outcome as the 3D product.
+MM25DResult = MM3DResult
 
 
 def run_mm25d(
@@ -101,34 +94,6 @@ def run_mm25d(
     check_positive("c", c)
     if q % c != 0:
         raise ValueError(f"2.5D requires c | q, got q={q}, c={c}")
-    if (a is None) != (b is None):
-        raise ValueError("pass both a and b, or neither")
-    real = a is not None
-    world = World(block_placement(q * q * c, max(ppn, 1)), params=params,
-                  machine=machine)
-    mesh = Mesh3D(world, q, q, c)
-
-    def program(env: RankEnv):
-        i, j, k = mesh.coords_of(env.rank)
-        a_blk = b_blk = None
-        if real and k == 0:
-            rlo, rhi = block_range(i, n, q)
-            clo, chi = block_range(j, n, q)
-            a_blk = np.ascontiguousarray(a[rlo:rhi, clo:chi])
-            b_blk = np.ascontiguousarray(b[rlo:rhi, clo:chi])
-        result = yield from mm25d_program(env, mesh, n, a_blk, b_blk, real)
-        return result
-
-    world.spawn_all(program, ranks=range(q * q * c))
-    elapsed = world.run()
-    c_mat = None
-    if real:
-        c_mat = np.zeros((n, n))
-        for rank, c_blk in enumerate(world.results()):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            rlo, rhi = block_range(i, n, q)
-            clo, chi = block_range(j, n, q)
-            c_mat[rlo:rhi, clo:chi] = c_blk
-    return MM25DResult(c=c_mat, elapsed=elapsed, world=world)
+    return _run_front_face_product(q, c, n, a, b, mm25d_program,
+                                   kernel="mm25d", ppn=ppn, params=params,
+                                   machine=machine)

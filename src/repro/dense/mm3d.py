@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dense.distribution import block_range
+from repro.dense.distribution import assemble_matrix, partition_matrix
 from repro.dense.mesh import Mesh3D
 from repro.mpi.collectives.plan import block_partition
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
 from repro.util import check_positive
 
@@ -119,7 +119,7 @@ def mm3d_program(
 
 @dataclass
 class MM3DResult:
-    """Outcome of :func:`run_mm3d`."""
+    """Outcome of :func:`run_mm3d` and :func:`~repro.dense.mm25d.run_mm25d`."""
 
     c: np.ndarray | None
     elapsed: float
@@ -138,34 +138,39 @@ def run_mm3d(
 ) -> MM3DResult:
     """Run one 3D product ``C = A B`` on a fresh ``p^3`` world."""
     check_positive("p", p)
+    return _run_front_face_product(p, p, n, a, b, mm3d_program,
+                                   kernel="mm3d", ppn=ppn, params=params,
+                                   machine=machine)
+
+
+def _run_front_face_product(q: int, c: int, n: int, a: np.ndarray | None,
+                            b: np.ndarray | None, program_fn, *, kernel: str,
+                            ppn: int, params: NetworkParams | None,
+                            machine: MachineParams | None) -> MM3DResult:
+    """Run one ``program_fn`` product on a fresh ``q x q x c`` world.
+
+    The scaffolding of :func:`run_mm3d` and ``run_mm25d``: A and B start
+    as ``q x q`` blocks on the front face, where ``program_fn`` leaves the
+    ``C`` blocks that real mode assembles.
+    """
+    check_positive("ppn", ppn)
     if (a is None) != (b is None):
         raise ValueError("pass both a and b, or neither")
     real = a is not None
-    world = World(block_placement(p**3, max(ppn, 1)), params=params,
+    world = World(block_placement(q * q * c, ppn), params=params,
                   machine=machine)
-    mesh = Mesh3D(world, p)
+    mesh = Mesh3D(world, q, q, c)
+    a_blocks = partition_matrix(a, q) if real else {}
+    b_blocks = partition_matrix(b, q) if real else {}
 
     def program(env: RankEnv):
         i, j, k = mesh.coords_of(env.rank)
-        a_blk = b_blk = None
-        if real and k == 0:
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            a_blk = np.ascontiguousarray(a[rlo:rhi, clo:chi])
-            b_blk = np.ascontiguousarray(b[rlo:rhi, clo:chi])
-        result = yield from mm3d_program(env, mesh, n, a_blk, b_blk, real)
+        front = real and k == 0
+        result = yield from program_fn(
+            env, mesh, n, a_blocks[(i, j)] if front else None,
+            b_blocks[(i, j)] if front else None, real)
         return result
 
-    world.spawn_all(program, ranks=range(p**3))
-    elapsed = world.run()
-    c_mat = None
-    if real:
-        c_mat = np.zeros((n, n))
-        for rank, c_blk in enumerate(world.results()):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            c_mat[rlo:rhi, clo:chi] = c_blk
-    return MM3DResult(c=c_mat, elapsed=elapsed, world=world)
+    outs = execute(world, program, kernel=kernel)
+    c_mat = assemble_matrix(mesh.front_face(outs), n, q) if real else None
+    return MM3DResult(c=c_mat, elapsed=world.engine.now, world=world)

@@ -41,12 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dense.distribution import block_dim, block_range
+from repro.dense.distribution import assemble_matrix, block_dim, partition_matrix
 from repro.dense.mesh import Mesh2D
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
-from repro.sim.engine import DeadlineExceeded
 from repro.tune.validity import SUMMA_ALGORITHMS, validate_summa_config
+from repro.util import check_positive
 
 __all__ = [
     "SUMMA_ALGORITHMS",
@@ -246,25 +246,21 @@ def run_summa(
     (many runs then share one warm cache and coalesced searches).  The
     decision trace is attached as ``SummaResult.tuning``.  ``tune_db`` is
     an optional :class:`~repro.tune.db.TuningDB` for warm starts (policy
-    strings only — with a tuner object it raises :class:`ValueError`).
+    strings only — with a tuner object or no ``tune`` it raises
+    :class:`ValueError`).
     """
-    if tune is not None:
+    check_positive("ppn", ppn)
+    if tune is not None or tune_db is not None:
         from repro.tune import signature_for_summa, tune_for_run
 
-        decision, eff = tune_for_run(
+        return tune_for_run(
             tune, signature_for_summa(p, n, ppn=ppn, params=params,
                                       machine=machine),
+            lambda best, eff: run_summa(
+                p, n, a, b, algorithm=best.algorithm, colors=best.n_dup,
+                depth=best.depth, ppn=best.ppn, params=eff, machine=machine,
+                deadline=deadline, record=record, trace=trace),
             tune_db=tune_db, params=params, machine=machine)
-        best = decision.best
-        if best.algorithm == "colored" and eff.num_channels < best.n_dup:
-            eff = eff.replace(num_channels=best.n_dup)
-        result = run_summa(
-            p, n, a, b, algorithm=best.algorithm, colors=best.n_dup,
-            depth=best.depth, ppn=best.ppn, params=eff, machine=machine,
-            deadline=deadline, record=record, trace=trace,
-        )
-        result.tuning = decision
-        return result
     if colors is None:
         colors = 2 if algorithm == "colored" else 1
     if depth is None:
@@ -272,27 +268,24 @@ def run_summa(
     if params is None and algorithm == "colored":
         params = NetworkParams(num_channels=colors)
     validate_summa_config(
-        p, n, algorithm, colors, depth, max(ppn, 1),
+        p, n, algorithm, colors, depth, ppn,
         num_channels=None if params is None else params.num_channels,
     )
     if (a is None) != (b is None):
         raise ValueError("pass both a and b, or neither")
-    world = World(block_placement(p * p, 1 if ppn < 1 else ppn), params=params,
+    world = World(block_placement(p * p, ppn), params=params,
                   machine=machine, record=record, trace=trace)
     if algorithm == "colored":
         mesh = Mesh2D(world, p, n_dup=colors, channels=tuple(range(colors)))
     else:
         mesh = Mesh2D(world, p)
+    a_blocks = b_blocks = {}
+    if a is not None:
+        a_blocks, b_blocks = partition_matrix(a, p), partition_matrix(b, p)
 
     def program(env: RankEnv):
-        i, j = mesh.coords_of(env.rank)
-        if a is not None:
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            a_blk = np.ascontiguousarray(a[rlo:rhi, clo:chi])
-            b_blk = np.ascontiguousarray(b[rlo:rhi, clo:chi])
-        else:
-            a_blk = b_blk = None
+        ij = mesh.coords_of(env.rank)
+        a_blk, b_blk = a_blocks.get(ij), b_blocks.get(ij)
         t0 = env.now
         env.mark("t0", 0)
         if algorithm == "plain":
@@ -303,29 +296,15 @@ def run_summa(
         env.mark("t1", 0)
         return (env.now - t0, c_blk)
 
-    world.spawn_all(program, ranks=range(p * p))
-    world.run(until=deadline)
-    if deadline is not None and world.unfinished():
-        raise DeadlineExceeded(
-            f"run_summa(p={p}, n={n}, {algorithm!r}) exceeded deadline "
-            f"{deadline:.6g}s: {len(world.unfinished())} rank program(s) "
-            f"unfinished"
-        )
-    if world.recorder is not None:
-        world.recorder.meta.update(kernel="summa", ranks=p * p, iterations=1)
-    outs = world.results()
+    outs = execute(world, program, kernel="summa", deadline=deadline)
     # Per-call kernel time: max across ranks, the metric the tuner compares
     # (Engine.run(until=) pins the world clock to the deadline, so the
     # engine's final time is not usable under bounded runs).
-    elapsed = max(outs[rank][0] for rank in range(p * p))
+    elapsed = max(out[0] for out in outs)
     c = None
     if a is not None:
-        c = np.zeros((n, n))
-        for rank in range(p * p):
-            i, j = mesh.coords_of(rank)
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            c[rlo:rhi, clo:chi] = outs[rank][1]
+        c = assemble_matrix({mesh.coords_of(rank): out[1]
+                             for rank, out in enumerate(outs)}, n, p)
     return SummaResult(c=c, elapsed=elapsed, world=world,
                        algorithm=algorithm, colors=colors, depth=depth,
                        recording=world.recorder)

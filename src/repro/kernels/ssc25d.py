@@ -19,18 +19,16 @@ cross-operation pipelining like Algorithm 5, so the gains are smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dense.cannon import cannon_program
-from repro.dense.distribution import block_dim, block_range, part_slices
+from repro.dense.distribution import block_dim, part_slices
 from repro.dense.mesh import Mesh3D
 from repro.mpi.requests import waitall
 from repro.mpi.world import RankEnv, World
-from repro.kernels.symmsquarecube import ssc_flops
+from repro.kernels.symmsquarecube import SSCResult, _run_ssc_mesh
 from repro.netmodel import MachineParams, NetworkParams, block_placement
-from repro.sim.engine import DeadlineExceeded
 from repro.tune.validity import validate_ssc25d_config
 from repro.util import check_positive
 
@@ -50,26 +48,19 @@ def _overlapped_grd_bcast(env, mesh, i, j, n_dup, buf, total, root):
 def _overlapped_grd_allreduce(env, mesh, i, j, n_dup, buf, total):
     """Iallreduce the buffer's parts on duplicated grid comms; returns result."""
     reqs = []
-    parts = part_slices(total, n_dup)
-    for c, (lo, hi) in enumerate(parts):
+    for c, (lo, hi) in enumerate(part_slices(total, n_dup)):
         gv = env.view(mesh.grd_comm(i, j, c))
         part = None if buf is None else buf[lo:hi]
         req = yield from gv.iallreduce(part, nbytes=(hi - lo) * 8)
         reqs.append(req)
     results = yield from waitall(reqs)
-    if buf is None:
-        return None
-    out = np.empty(total)
-    for (lo, hi), part in zip(parts, results):
-        out[lo:hi] = part
-    return out
+    return None if buf is None else np.concatenate(results)
 
 
 def _overlapped_grd_reduce(env, mesh, i, j, n_dup, buf, total, root):
     """Ireduce the buffer's parts on duplicated grid comms; returns root result."""
     reqs = []
-    parts = part_slices(total, n_dup)
-    for c, (lo, hi) in enumerate(parts):
+    for c, (lo, hi) in enumerate(part_slices(total, n_dup)):
         gv = env.view(mesh.grd_comm(i, j, c))
         part = None if buf is None else buf[lo:hi]
         req = yield from gv.ireduce(part, nbytes=(hi - lo) * 8, root=root)
@@ -78,10 +69,7 @@ def _overlapped_grd_reduce(env, mesh, i, j, n_dup, buf, total, root):
     me_local = mesh.grd_comm(i, j).local(env.rank)
     if buf is None or me_local != root:
         return None
-    out = np.empty(total)
-    for (lo, hi), part in zip(parts, results):
-        out[lo:hi] = part
-    return out
+    return np.concatenate(results)
 
 
 def ssc25d_program(env: RankEnv, mesh: Mesh3D, n: int,
@@ -165,26 +153,8 @@ def ssc25d_plan_population(q: int, c: int, n: int,
     return pop
 
 
-@dataclass
-class SSC25DResult:
-    """Outcome of :func:`run_ssc25d`."""
-
-    d2: np.ndarray | None
-    d3: np.ndarray | None
-    times: list[float]
-    n: int
-    world: World
-    mesh: Mesh3D
-    tuning: "TuningRecord | None" = None  # decision trace when run with tune=  # noqa: F821
-    recording: "GraphRecorder | None" = None  # event graph when run with record=True  # noqa: F821
-
-    @property
-    def elapsed(self) -> float:
-        return sum(self.times) / len(self.times)
-
-    @property
-    def tflops(self) -> float:
-        return ssc_flops(self.n) / self.elapsed / 1e12
+#: Alg. 6 reports the same outcome as Algs. 3-5 (``fallbacks`` stays 0).
+SSC25DResult = SSCResult
 
 
 def run_ssc25d(
@@ -214,76 +184,27 @@ def run_ssc25d(
     schedule; the record lands on ``SSC25DResult.tuning``.
     """
     check_positive("iterations", iterations)
-    validate_ssc25d_config(q, c, n, n_dup, ppn=max(ppn, 1))
-    if tune is not None:
+    validate_ssc25d_config(q, c, n, n_dup, ppn=ppn)
+    if tune is not None or tune_db is not None:
         from repro.tune import signature_for_ssc25d, tune_for_run
 
-        decision, eff = tune_for_run(
+        return tune_for_run(
             tune, signature_for_ssc25d(q, c, n, ppn=ppn, params=params,
                                        machine=machine),
+            lambda best, eff: run_ssc25d(
+                best.mesh[0], best.mesh[2], n, d, n_dup=best.n_dup,
+                ppn=best.ppn, iterations=iterations, params=eff,
+                machine=machine, verify=verify, verify_plans=verify_plans,
+                deadline=deadline, record=record),
             tune_db=tune_db, params=params, machine=machine)
-        best = decision.best
-        bq, _bq, bc = best.mesh
-        result = run_ssc25d(
-            bq, bc, n, d, n_dup=best.n_dup, ppn=best.ppn,
-            iterations=iterations, params=eff, machine=machine, verify=verify,
-            verify_plans=verify_plans, deadline=deadline, record=record,
-        )
-        result.tuning = decision
-        return result
-    real = d is not None
-    if real and not np.allclose(d, d.T):
-        raise ValueError("SymmSquareCube requires a symmetric input matrix")
-    world = World(block_placement(q * q * c, max(ppn, 1)), params=params,
+    world = World(block_placement(q * q * c, ppn), params=params,
                   machine=machine, verify=verify, verify_plans=verify_plans,
                   record=record)
-    mesh = Mesh3D(world, q, q, c, n_dup=max(n_dup, 1))
+    mesh = Mesh3D(world, q, q, c, n_dup=n_dup)
 
-    def program(env: RankEnv):
-        i, j, k = mesh.coords_of(env.rank)
-        d_blk = None
-        if real and k == 0:
-            rlo, rhi = block_range(i, n, q)
-            clo, chi = block_range(j, n, q)
-            d_blk = np.ascontiguousarray(d[rlo:rhi, clo:chi])
-        gv = env.view(mesh.global_comm)
-        times = []
-        result = None
-        for it in range(iterations):
-            yield from gv.barrier()
-            t0 = env.now
-            env.mark("t0", it)
-            result = yield from ssc25d_program(env, mesh, n, d_blk, real, n_dup)
-            env.mark("t1", it)
-            times.append(env.now - t0)
-        return (times, result)
+    def step(env: RankEnv, _gv, d_blk, real):
+        out = yield from ssc25d_program(env, mesh, n, d_blk, real, n_dup)
+        return out, False
 
-    world.spawn_all(program, ranks=range(q * q * c))
-    world.run(until=deadline)
-    if deadline is not None and world.unfinished():
-        raise DeadlineExceeded(
-            f"run_ssc25d(q={q}, c={c}, n={n}) exceeded deadline "
-            f"{deadline:.6g}s: {len(world.unfinished())} rank program(s) unfinished"
-        )
-    outs = world.results()
-    iter_times = [
-        max(outs[r][0][it] for r in range(q * q * c)) for it in range(iterations)
-    ]
-    d2 = d3 = None
-    if real:
-        d2 = np.zeros((n, n))
-        d3 = np.zeros((n, n))
-        for rank in range(q * q * c):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            blk2, blk3 = outs[rank][1]
-            rlo, rhi = block_range(i, n, q)
-            clo, chi = block_range(j, n, q)
-            d2[rlo:rhi, clo:chi] = blk2
-            d3[rlo:rhi, clo:chi] = blk3
-    if world.recorder is not None:
-        world.recorder.meta.update(kernel="ssc25d", ranks=q * q * c,
-                                   iterations=iterations)
-    return SSC25DResult(d2=d2, d3=d3, times=iter_times, n=n, world=world,
-                        mesh=mesh, recording=world.recorder)
+    return _run_ssc_mesh(world, mesh, n, d, step, kernel="ssc25d",
+                         iterations=iterations, deadline=deadline)

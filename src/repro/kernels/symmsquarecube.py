@@ -34,13 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dense.distribution import block_dim, block_range, part_slices
+from repro.dense.distribution import (
+    assemble_matrix,
+    block_dim,
+    part_slices,
+    partition_matrix,
+)
 from repro.dense.mesh import Mesh3D
 from repro.mpi.requests import waitall
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
 from repro.netmodel.topology import round_robin_placement
-from repro.sim.engine import DeadlineExceeded
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import SpanKind
 from repro.tune.validity import check_placement, validate_ssc_config
@@ -359,7 +363,6 @@ def ssc_optimized_program(env: RankEnv, mesh: Mesh3D, n: int,
     d2_src = mesh.rank_of(i, i, j)   # holder of D2[i,j]
     d3_src = mesh.rank_of(i, j, j)   # holder of D3[i,j] (coords (i,k,k), k=j)
     d2_rreqs = d3_rreqs = None
-    bij_parts = part_slices(bi * bj, n_dup)
     if k == 0:
         gvs = [env.view(mesh.global_dup(c)) for c in range(n_dup)]
         grds = [env.view(mesh.grd_comm(i, j, c)) for c in range(n_dup)]
@@ -412,19 +415,13 @@ def ssc_optimized_program(env: RankEnv, mesh: Mesh3D, n: int,
     else:
         parts = yield from waitall(d2_rreqs)
         if real:
-            d2 = np.empty(bi * bj)
-            for (lo, hi), part in zip(bij_parts, parts):
-                d2[lo:hi] = part
-            d2 = d2.reshape(bi, bj)
+            d2 = np.concatenate(parts).reshape(bi, bj)
     if d3_src == env.rank:
         d3 = d3_buf.reshape(bi, bj) if real else None
     else:
         parts = yield from waitall(d3_rreqs)
         if real:
-            d3 = np.empty(bi * bj)
-            for (lo, hi), part in zip(bij_parts, parts):
-                d3[lo:hi] = part
-            d3 = d3.reshape(bi, bj)
+            d3 = np.concatenate(parts).reshape(bi, bj)
     return (d2, d3)
 
 
@@ -462,6 +459,20 @@ _ALGORITHMS = {
     "baseline": ssc_baseline_program,
     "optimized": ssc_optimized_program,
 }
+
+
+def ssc_program(env: RankEnv, mesh: Mesh3D, n: int, d_blk: np.ndarray | None,
+                real: bool, algorithm: str, n_dup: int = 1):
+    """One SymmSquareCube call of ``algorithm`` (Alg. 3, 4 or 5).
+
+    ``n_dup`` is the Alg. 5 pipeline depth; the blocking algorithms ignore
+    it.  Returns what the algorithm's program returns.
+    """
+    if algorithm == "optimized":
+        out = yield from ssc_optimized_program(env, mesh, n, d_blk, real, n_dup)
+    else:
+        out = yield from _ALGORITHMS[algorithm](env, mesh, n, d_blk, real)
+    return out
 
 
 def ssc_plan_population(p: int, n: int, algorithm: str = "optimized",
@@ -578,7 +589,8 @@ def run_ssc(
     this workload (overriding the corresponding arguments), and the
     decision trace is attached as ``SSCResult.tuning``.  ``tune_db`` is an
     optional :class:`~repro.tune.db.TuningDB` for warm starts (policy
-    strings only — with a tuner object it raises :class:`ValueError`).
+    strings only — with a tuner object or no ``tune`` it raises
+    :class:`ValueError`).
 
     ``deadline`` bounds the simulation at that virtual time and raises
     :class:`~repro.sim.engine.DeadlineExceeded` if the kernel has not
@@ -586,28 +598,21 @@ def run_ssc(
     """
     check_positive("iterations", iterations)
     check_placement(placement)
-    validate_ssc_config(p, n, algorithm, n_dup, ppn=max(ppn, 1))
-    if tune is not None:
+    validate_ssc_config(p, n, algorithm, n_dup, ppn=ppn)
+    if tune is not None or tune_db is not None:
         from repro.tune import signature_for_ssc, tune_for_run
 
-        decision, eff = tune_for_run(
+        return tune_for_run(
             tune, signature_for_ssc(p, n, ppn=ppn, placement=placement,
                                     params=params, machine=machine),
+            lambda best, eff: run_ssc(
+                p, n, best.algorithm, d, n_dup=best.n_dup, ppn=best.ppn,
+                iterations=iterations, params=eff, machine=machine,
+                placement=placement, trace=trace, faults=faults,
+                verify=verify, verify_plans=verify_plans, deadline=deadline,
+                record=record),
             tune_db=tune_db, params=params, machine=machine)
-        best = decision.best
-        result = run_ssc(
-            p, n, best.algorithm, d, n_dup=best.n_dup, ppn=best.ppn,
-            iterations=iterations, params=eff, machine=machine,
-            placement=placement, trace=trace, faults=faults, verify=verify,
-            verify_plans=verify_plans, deadline=deadline, record=record,
-        )
-        result.tuning = decision
-        return result
-    real = d is not None
-    if real and not np.allclose(d, d.T):
-        raise ValueError("SymmSquareCube requires a symmetric input matrix")
     ranks = p**3
-    ppn = max(ppn, 1)
     if placement == "block":
         cluster = block_placement(ranks, ppn)
     else:  # "round_robin" — check_placement already rejected anything else
@@ -615,16 +620,45 @@ def run_ssc(
     world = World(cluster, params=params, machine=machine, trace=trace,
                   faults=faults, verify=verify, verify_plans=verify_plans,
                   record=record)
-    mesh = Mesh3D(world, p, n_dup=max(n_dup, 1))
-    program_fn = _ALGORITHMS[algorithm]
+    mesh = Mesh3D(world, p, n_dup=n_dup)
+
+    def step(env: RankEnv, gv, d_blk, real):
+        if algorithm == "optimized" and world.faults is not None:
+            flag = world.faults.link_degraded(env.now)
+            fall_back = yield from negotiate_fallback(env, gv, flag)
+            if fall_back:
+                world.trace.add(env.rank, env.now, env.now, SpanKind.MISC,
+                                "fallback:blocking")
+                out = yield from ssc_baseline_program(env, mesh, n, d_blk, real)
+                return out, True
+        out = yield from ssc_program(env, mesh, n, d_blk, real, algorithm,
+                                     n_dup)
+        return out, False
+
+    return _run_ssc_mesh(world, mesh, n, d, step, kernel="ssc",
+                         iterations=iterations, deadline=deadline)
+
+
+def _run_ssc_mesh(world: World, mesh: Mesh3D, n: int, d: np.ndarray | None,
+                  step, *, kernel: str, iterations: int,
+                  deadline: float | None) -> SSCResult:
+    """The scaffolding :func:`run_ssc` and ``run_ssc25d`` share.
+
+    Scatters ``D``'s ``pi x pj`` blocks onto the front face, runs
+    ``iterations`` calls of ``step(env, global_view, d_blk, real)`` — a
+    generator returning ``(front-face (D2, D3) blocks, fell_back)`` —
+    each behind a barrier and timed per rank between the ``t0``/``t1``
+    marks, and reports each call's max-over-ranks time plus, in real
+    mode, the assembled ``D^2``/``D^3``.
+    """
+    real = d is not None
+    if real and (d.shape != (n, n) or not np.allclose(d, d.T)):
+        raise ValueError(f"SymmSquareCube requires a symmetric {n}x{n} input")
+    blocks = partition_matrix(d, mesh.pi) if real else {}
 
     def program(env: RankEnv):
         i, j, k = mesh.coords_of(env.rank)
-        d_blk = None
-        if real and k == 0:
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            d_blk = np.ascontiguousarray(d[rlo:rhi, clo:chi])
+        d_blk = blocks.get((i, j)) if k == 0 else None
         gv = env.view(mesh.global_comm)
         times = []
         result = None
@@ -633,51 +667,22 @@ def run_ssc(
             yield from gv.barrier()
             t0 = env.now
             env.mark("t0", it)
-            fall_back = False
-            if algorithm == "optimized" and world.faults is not None:
-                flag = world.faults.link_degraded(env.now)
-                fall_back = yield from negotiate_fallback(env, gv, flag)
-            if fall_back:
-                fallbacks += 1
-                world.trace.add(env.rank, env.now, env.now, SpanKind.MISC,
-                                "fallback:blocking")
-                result = yield from ssc_baseline_program(env, mesh, n, d_blk, real)
-            elif algorithm == "optimized":
-                result = yield from program_fn(env, mesh, n, d_blk, real, n_dup)
-            else:
-                result = yield from program_fn(env, mesh, n, d_blk, real)
-            t1 = env.now
+            result, fell_back = yield from step(env, gv, d_blk, real)
+            fallbacks += fell_back
             env.mark("t1", it)
-            times.append(t1 - t0)
+            times.append(env.now - t0)
         return (times, result, fallbacks)
 
-    world.spawn_all(program, ranks=range(p**3))
-    world.run(until=deadline)
-    if deadline is not None and world.unfinished():
-        raise DeadlineExceeded(
-            f"run_ssc(p={p}, n={n}, {algorithm!r}) exceeded deadline "
-            f"{deadline:.6g}s: {len(world.unfinished())} rank program(s) unfinished"
-        )
-    outs = world.results()
-    iter_times = [
-        max(outs[r][0][it] for r in range(p**3)) for it in range(iterations)
-    ]
-    fallbacks = max(outs[r][2] for r in range(p**3))
+    outs = execute(world, program, kernel=kernel, deadline=deadline,
+                   iterations=iterations)
+    iter_times = [max(out[0][it] for out in outs) for it in range(iterations)]
     d2 = d3 = None
     if real:
-        d2 = np.zeros((n, n))
-        d3 = np.zeros((n, n))
-        for rank in range(p**3):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            blk2, blk3 = outs[rank][1]
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            d2[rlo:rhi, clo:chi] = blk2
-            d3[rlo:rhi, clo:chi] = blk3
-    if world.recorder is not None:
-        world.recorder.meta.update(kernel="ssc", ranks=ranks,
-                                   iterations=iterations)
-    return SSCResult(d2=d2, d3=d3, times=iter_times, n=n, world=world, mesh=mesh,
-                     fallbacks=fallbacks, recording=world.recorder)
+        front = mesh.front_face([out[1] for out in outs])
+        d2 = assemble_matrix({ij: blk[0] for ij, blk in front.items()},
+                             n, mesh.pi)
+        d3 = assemble_matrix({ij: blk[1] for ij, blk in front.items()},
+                             n, mesh.pi)
+    return SSCResult(d2=d2, d3=d3, times=iter_times, n=n, world=world,
+                     mesh=mesh, fallbacks=max(out[2] for out in outs),
+                     recording=world.recorder)

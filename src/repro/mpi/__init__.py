@@ -27,7 +27,7 @@ with ``yield from``::
 See :class:`repro.mpi.world.World` for the entry point.
 """
 
-from repro.mpi.world import World, RankEnv
+from repro.mpi.world import World, RankEnv, execute
 from repro.mpi.comm import Comm, CommView
 from repro.mpi.requests import Request, waitall, waitany
 from repro.mpi.progress import ProgressEngine
@@ -36,6 +36,7 @@ from repro.mpi.transport import Transport
 __all__ = [
     "World",
     "RankEnv",
+    "execute",
     "Comm",
     "CommView",
     "Request",

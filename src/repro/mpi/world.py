@@ -13,6 +13,9 @@ programs are generator functions of one argument, the :class:`RankEnv`::
 
     world.spawn_all(program)
     elapsed = world.run()
+
+Kernel runners go through :func:`execute`, which adds the bounded-run
+check and the recorder metadata on top of those two calls.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.mpi.transport import Transport
 from repro.netmodel.fabric import Fabric
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.netmodel.topology import Cluster
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import DeadlineExceeded, Engine, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.process import Delay, SimProcess
 from repro.sim.trace import SpanKind, Trace
@@ -198,6 +201,33 @@ class World:
     def results(self) -> list:
         """Return values of all spawned programs, in spawn order."""
         return [p.done.value for p in self._procs]
+
+
+def execute(world: World, program: Callable[["RankEnv"], Generator], *,
+            kernel: str, deadline: float | None = None,
+            iterations: int = 1) -> list:
+    """The one run path of every kernel runner: spawn, run, collect.
+
+    Spawns ``program`` on every rank of ``world`` and runs the simulation,
+    bounded at ``deadline`` when given.  A bounded run that leaves a rank
+    program unfinished raises :class:`DeadlineExceeded` (the tuner's
+    early-termination hook).  A recording world gets the ``kernel`` /
+    ``ranks`` / ``iterations`` metadata replay needs.  Returns every
+    program's return value, in rank order.
+    """
+    world.spawn_all(program)
+    world.run(until=deadline)
+    if deadline is not None:
+        unfinished = world.unfinished()
+        if unfinished:
+            raise DeadlineExceeded(
+                f"{kernel} run exceeded deadline {deadline:.6g}s: "
+                f"{len(unfinished)} rank program(s) unfinished"
+            )
+    if world.recorder is not None:
+        world.recorder.meta.update(kernel=kernel, ranks=world.num_ranks,
+                                   iterations=iterations)
+    return world.results()
 
 
 class RankEnv:

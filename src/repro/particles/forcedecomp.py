@@ -29,7 +29,7 @@ import numpy as np
 from repro.dense.distribution import block_dim, block_range, part_slices
 from repro.dense.mesh import Mesh2D
 from repro.mpi.requests import waitall
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
 from repro.util import check_positive
 
@@ -125,11 +125,7 @@ def force_step_program(
                 req = yield from rv.ireduce(part, nbytes=(hi - lo) * 8, root=i)
                 reqs.append(req)
             parts = yield from waitall(reqs)
-            f_buf = None
-            if real and i == j:
-                f_buf = np.empty(bi * 3)
-                for (lo, hi), part in zip(part_slices(bi * 3, n_dup), parts):
-                    f_buf[lo:hi] = part
+            f_buf = np.concatenate(parts) if real and i == j else None
         # -- phase 5: toy explicit position update on the diagonal owners.
         if i == j:
             yield from env.compute_flops(6.0 * bi, label="update")
@@ -178,10 +174,11 @@ def run_force_step(
     """
     check_positive("p", p)
     check_positive("steps", steps)
+    check_positive("ppn", ppn)
     real = x is not None
     if real and x.shape != (n, 3):
         raise ValueError(f"x has shape {x.shape}, expected {(n, 3)}")
-    world = World(block_placement(p * p, max(ppn, 1)), params=params,
+    world = World(block_placement(p * p, ppn), params=params,
                   machine=machine)
     mesh = Mesh2D(world, p, n_dup=max(n_dup, 1))
 
@@ -197,18 +194,11 @@ def run_force_step(
         )
         return out
 
-    world.spawn_all(program)
-    elapsed = world.run()
+    outs = execute(world, program, kernel="force_step")
     x_out = f_out = None
     if real:
-        x_out = np.zeros((n, 3))
-        f_out = np.zeros((n, 3))
-        for rank, out in enumerate(world.results()):
-            i, j = mesh.coords_of(rank)
-            if i != j:
-                continue
-            lo, hi = block_range(i, n, p)
-            x_out[lo:hi] = out[0]
-            f_out[lo:hi] = out[1]
-    return ForceStepResult(x=x_out, forces=f_out, elapsed=elapsed, steps=steps,
-                           world=world)
+        diag = [outs[mesh.rank_of(i, i)] for i in range(p)]
+        x_out = np.concatenate([out[0] for out in diag])
+        f_out = np.concatenate([out[1] for out in diag])
+    return ForceStepResult(x=x_out, forces=f_out, elapsed=world.engine.now,
+                           steps=steps, world=world)

@@ -24,16 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dense.distribution import block_range
+from repro.dense.distribution import assemble_matrix, block_range
 from repro.dense.mesh import Mesh3D
-from repro.kernels.symmsquarecube import (
-    ssc_baseline_program,
-    ssc_flops,
-    ssc_optimized_program,
-    ssc_original_program,
-)
-from repro.mpi.world import RankEnv, World
+from repro.kernels.symmsquarecube import ssc_flops, ssc_program
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
+from repro.tune.validity import check_ssc_algorithm
 from repro.util import check_positive
 
 
@@ -122,13 +118,6 @@ class PurificationResult:
         return ssc_flops(self.n) / self.avg_ssc_time / 1e12
 
 
-_SSC_PROGRAMS = {
-    "original": ssc_original_program,
-    "baseline": ssc_baseline_program,
-    "optimized": ssc_optimized_program,
-}
-
-
 def purification_rank_program(
     env: RankEnv,
     mesh: Mesh3D,
@@ -149,9 +138,7 @@ def purification_rank_program(
     the building block shared by :func:`run_distributed_purification` and
     the SCF driver in :mod:`repro.purify.scf`.
     """
-    if algorithm not in _SSC_PROGRAMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    program_fn = _SSC_PROGRAMS[algorithm]
+    check_ssc_algorithm(algorithm)
     p = mesh.pi
     i, j, k = mesh.coords_of(env.rank)
     d_blk = None
@@ -168,10 +155,8 @@ def purification_rank_program(
     for it in range(iterations):
         yield from gv.barrier()
         t0 = env.now
-        if algorithm == "optimized":
-            out = yield from program_fn(env, mesh, n, d_blk, real, n_dup)
-        else:
-            out = yield from program_fn(env, mesh, n, d_blk, real)
+        out = yield from ssc_program(env, mesh, n, d_blk, real, algorithm,
+                                     n_dup)
         times.append(env.now - t0)
         # Trace reduction + local update live on the front face only.
         stop = 0.0
@@ -228,15 +213,15 @@ def run_distributed_purification(
     """
     check_positive("p", p)
     check_positive("iterations", iterations)
-    if algorithm not in _SSC_PROGRAMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    check_positive("ppn", ppn)
+    check_ssc_algorithm(algorithm)
     real = f is not None
     if real:
         if n_occ is None:
             raise ValueError("real mode needs n_occ")
         if f.shape != (n, n):
             raise ValueError(f"f has shape {f.shape}, expected {(n, n)}")
-    world = World(block_placement(p**3, max(ppn, 1)), params=params, machine=machine)
+    world = World(block_placement(p**3, ppn), params=params, machine=machine)
     mesh = Mesh3D(world, p, n_dup=max(n_dup, 1))
     plane0 = world.new_comm(
         [mesh.rank_of(i, j, 0) for i in range(p) for j in range(p)], "plane0"
@@ -249,27 +234,18 @@ def run_distributed_purification(
         )
         return out
 
-    world.spawn_all(program, ranks=range(p**3))
-    world.run()
-    outs = world.results()
-    n_ranks = p**3
+    outs = execute(world, program, kernel="purification")
     # Real mode can converge early: use the front-face iteration count.
     iters_done = min(out[2] for out in outs)
     ssc_times = [
-        max(outs[r][0][it] for r in range(n_ranks) if it < len(outs[r][0]))
-        for it in range(min(len(outs[r][0]) for r in range(n_ranks)))
+        max(out[0][it] for out in outs if it < len(out[0]))
+        for it in range(min(len(out[0]) for out in outs))
     ]
     d_final = None
     converged = False
     if real:
-        d_final = np.zeros((n, n))
-        for rank in range(n_ranks):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            rlo, rhi = block_range(i, n, p)
-            clo, chi = block_range(j, n, p)
-            d_final[rlo:rhi, clo:chi] = outs[rank][1]
+        d_final = assemble_matrix(mesh.front_face([out[1] for out in outs]),
+                                  n, p)
         idem = abs(np.trace(d_final) - np.trace(d_final @ d_final))
         converged = idem < max(tol * 10, 1e-6)
     return PurificationResult(

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dense.distribution import block_range
+from repro.dense.distribution import assemble_matrix
 from repro.dense.mesh import Mesh3D
 from repro.mpi.gating import gated_section
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
 from repro.purify.canonical import (
     canonical_initial_guess,
@@ -147,26 +147,16 @@ def run_scf(
                 d_blk = out[1]
         return d_blk
 
-    world.spawn_all(program)
-    total = world.run()
-
+    outs = execute(world, program, kernel="scf")
     d_final = None
     if real:
-        outs = world.results()
-        d_final = np.zeros((n, n))
-        for rank in range(purify_ranks):
-            i, j, k = mesh.coords_of(rank)
-            if k != 0:
-                continue
-            rlo, rhi = block_range(i, n, mesh_p)
-            clo, chi = block_range(j, n, mesh_p)
-            d_final[rlo:rhi, clo:chi] = outs[rank]
+        d_final = assemble_matrix(mesh.front_face(outs), n, mesh_p)
     return SCFResult(
         scf_iterations=scf_iterations,
         fock_times=fock_times,
         purify_times=purify_times,
         ssc_times=ssc_times,
-        total_time=total,
+        total_time=world.engine.now,
         d=d_final,
         world=world,
     )

@@ -32,14 +32,11 @@ for robustness against block-CG's near-rank-deficiency as columns converge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dense.distribution import block_range
-from repro.mpi.world import RankEnv, World
-from repro.netmodel import MachineParams, NetworkParams, block_placement
-from repro.solvers.cg import laplacian_1d_matvec_dense
+from repro.netmodel import MachineParams, NetworkParams
+from repro.solvers.cg import CGResult, _run_solver, laplacian_1d_matvec_dense
 from repro.util import check_positive
 
 _TAG_DOWN = 44  # boundary row travelling toward lower ranks
@@ -207,19 +204,11 @@ def _pipelined_program(env, comm_obj, n, s, b, tol, maxiter, real):
     return X, iters
 
 
-@dataclass
-class BlockCGResult:
-    """Outcome of :func:`run_block_cg`."""
+#: Block CG reports the same outcome as :func:`~repro.solvers.cg.run_cg`.
+BlockCGResult = CGResult
 
-    x: np.ndarray | None          # (n, s) solution block (real mode)
-    iterations: int
-    elapsed: float
-    residual: float | None        # max relative column residual
-    world: World
-
-    @property
-    def time_per_iteration(self) -> float:
-        return self.elapsed / max(self.iterations, 1)
+_BLOCK_CG_PROGRAMS = {"classic": _classic_program,
+                      "pipelined": _pipelined_program}
 
 
 def run_block_cg(
@@ -242,40 +231,23 @@ def run_block_cg(
     identical iterates in exact arithmetic).  Real mode: pass ``b`` of
     shape ``(n, s)``.
     """
-    check_positive("num_ranks", num_ranks)
     check_positive("n", n)
     check_positive("s", s)
-    if variant not in ("classic", "pipelined"):
-        raise ValueError(
-            f"variant must be 'classic' or 'pipelined', got {variant!r}"
-        )
-    real = b is not None
-    if real and b.shape != (n, s):
+    if b is not None and b.shape != (n, s):
         raise ValueError(f"b has shape {b.shape}, expected {(n, s)}")
-    world = World(block_placement(num_ranks, max(ppn, 1)), params=params,
-                  machine=machine)
-    comm_obj = world.comm_world
-    prog = _classic_program if variant == "classic" else _pipelined_program
 
-    def program(env: RankEnv):
-        out = yield from prog(env, comm_obj, n, s, b, tol, maxiter, real)
-        return out
-
-    world.spawn_all(program)
-    elapsed = world.run()
-    outs = world.results()
-    iters = max(o[1] for o in outs)
-    x = residual = None
-    if real:
-        x = np.vstack([o[0] for o in outs])
+    def residual(x):
         resid = b - np.column_stack(
             [laplacian_1d_matvec_dense(x[:, c]) for c in range(s)]
         )
-        residual = float(
+        return float(
             max(
                 np.linalg.norm(resid[:, c]) / max(np.linalg.norm(b[:, c]), 1e-300)
                 for c in range(s)
             )
         )
-    return BlockCGResult(x=x, iterations=iters, elapsed=elapsed,
-                         residual=residual, world=world)
+
+    return _run_solver(num_ranks, variant, _BLOCK_CG_PROGRAMS,
+                       (n, s, b, tol, maxiter, b is not None), residual,
+                       kernel="block_cg", ppn=ppn, params=params,
+                       machine=machine)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dense.distribution import block_range
-from repro.mpi.world import RankEnv, World
+from repro.mpi.world import RankEnv, World, execute
 from repro.netmodel import MachineParams, NetworkParams, block_placement
 from repro.util import check_positive
 
@@ -187,17 +187,21 @@ def _pipelined_cg_program(env, comm_obj, n, b, tol, maxiter, real):
 
 @dataclass
 class CGResult:
-    """Outcome of :func:`run_cg`."""
+    """Outcome of :func:`run_cg` and :func:`~repro.solvers.block_cg.run_block_cg`."""
 
-    x: np.ndarray | None          # assembled solution (real mode)
+    x: np.ndarray | None          # assembled solution, (n,) or (n, s) (real mode)
     iterations: int
     elapsed: float                # virtual seconds
-    residual: float | None        # ||b - A x|| / ||b|| (real mode)
+    residual: float | None        # ||b - A x|| / ||b||, max over columns (real mode)
     world: World
 
     @property
     def time_per_iteration(self) -> float:
         return self.elapsed / max(self.iterations, 1)
+
+
+_CG_PROGRAMS = {"classic": _classic_cg_program,
+                "pipelined": _pipelined_cg_program}
 
 
 def run_cg(
@@ -218,31 +222,49 @@ def run_cg(
     ``tol`` and return the assembled solution.  Modeled mode: run exactly
     ``maxiter`` iterations charging communication/computation costs only.
     """
-    check_positive("num_ranks", num_ranks)
     check_positive("n", n)
-    if variant not in ("classic", "pipelined"):
-        raise ValueError(f"variant must be 'classic' or 'pipelined', got {variant!r}")
-    real = b is not None
-    if real and len(b) != n:
+    if b is not None and len(b) != n:
         raise ValueError(f"b has length {len(b)}, expected {n}")
-    world = World(block_placement(num_ranks, max(ppn, 1)), params=params,
-                  machine=machine)
-    comm_obj = world.comm_world
-    prog_fn = _classic_cg_program if variant == "classic" else _pipelined_cg_program
 
-    def program(env: RankEnv):
-        out = yield from prog_fn(env, comm_obj, n, b, tol, maxiter, real)
-        return out
-
-    world.spawn_all(program)
-    elapsed = world.run()
-    outs = world.results()
-    iters = max(o[1] for o in outs)
-    x = residual = None
-    if real:
-        x = np.concatenate([o[0] for o in outs])
-        residual = float(
+    def residual(x):
+        return float(
             np.linalg.norm(b - laplacian_1d_matvec_dense(x)) / np.linalg.norm(b)
         )
-    return CGResult(x=x, iterations=iters, elapsed=elapsed, residual=residual,
-                    world=world)
+
+    return _run_solver(num_ranks, variant, _CG_PROGRAMS,
+                       (n, b, tol, maxiter, b is not None), residual,
+                       kernel="cg", ppn=ppn, params=params, machine=machine)
+
+
+def _run_solver(num_ranks: int, variant: str, programs: dict, args: tuple,
+                residual, *, kernel: str, ppn: int,
+                params: NetworkParams | None,
+                machine: MachineParams | None) -> CGResult:
+    """The scaffolding :func:`run_cg` and ``run_block_cg`` share.
+
+    Runs ``programs[variant](env, comm_world, *args)`` — returning the
+    rank's row block of the solution and its iteration count — on a fresh
+    ``num_ranks`` world.  Real mode (``args[-1]``) stacks the row blocks
+    and reports ``residual(x)``.
+    """
+    check_positive("num_ranks", num_ranks)
+    check_positive("ppn", ppn)
+    if variant not in programs:
+        raise ValueError(
+            f"variant must be 'classic' or 'pipelined', got {variant!r}"
+        )
+    world = World(block_placement(num_ranks, ppn), params=params,
+                  machine=machine)
+    prog = programs[variant]
+
+    def program(env: RankEnv):
+        out = yield from prog(env, world.comm_world, *args)
+        return out
+
+    outs = execute(world, program, kernel=kernel)
+    x = res = None
+    if args[-1]:
+        x = np.concatenate([o[0] for o in outs])
+        res = residual(x)
+    return CGResult(x=x, iterations=max(o[1] for o in outs),
+                    elapsed=world.engine.now, residual=res, world=world)

@@ -34,6 +34,7 @@ kernels themselves can depend on :mod:`repro.tune.validity` without a cycle.
 from repro.tune.candidates import (
     Candidate,
     apply_collective,
+    candidate_params,
     enumerate_candidates,
     n_dup_choices,
     paper_default_candidate,
@@ -87,7 +88,7 @@ __all__ = [
     "validate_summa_config",
     # candidates
     "Candidate", "enumerate_candidates", "paper_default_candidate",
-    "apply_collective", "n_dup_choices",
+    "apply_collective", "candidate_params", "n_dup_choices",
     # db
     "TuningDB", "TuningRecord", "TraceEntry", "DB_SCHEMA",
     # lazy: tuner + search + service + graphstore

@@ -87,6 +87,20 @@ def apply_collective(params: NetworkParams, collective: str) -> NetworkParams:
     )
 
 
+def candidate_params(params: NetworkParams, cand: "Candidate") -> NetworkParams:
+    """The fabric constants ``cand`` runs on.
+
+    Applies the candidate's collective override; the colored SUMMA variant
+    also needs one fabric lane per color, so scoring or running it means
+    that fabric configuration.
+    """
+    eff = apply_collective(params, cand.collective)
+    if (cand.kernel == "summa" and cand.algorithm == "colored"
+            and eff.num_channels < cand.n_dup):
+        eff = eff.replace(num_channels=cand.n_dup)
+    return eff
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One fully-specified kernel configuration."""

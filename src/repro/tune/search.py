@@ -38,7 +38,7 @@ from repro.netmodel.analytic import (
 from repro.netmodel.params import MachineParams, NetworkParams
 from repro.sim.engine import DeadlineExceeded
 from repro.sim.replay import ReplayInvalid, replay_kernel
-from repro.tune.candidates import Candidate, apply_collective
+from repro.tune.candidates import Candidate, candidate_params
 from repro.tune.db import TraceEntry
 from repro.tune.signature import WorkloadSignature
 
@@ -103,21 +103,14 @@ def simulate_candidate(sig: WorkloadSignature, cand: Candidate,
     the return value grows to ``(kernel_time, world_time, recording)`` —
     the recording is ``None``-safe but may be invalid (check ``.valid``).
     """
-    eff = apply_collective(params or NetworkParams(), cand.collective)
+    eff = candidate_params(params or NetworkParams(), cand)
     if cand.kernel == "summa":
-        if cand.algorithm == "colored" and eff.num_channels < cand.n_dup:
-            # The colored variant needs one fabric lane per color; scoring
-            # it IS scoring that fabric configuration.
-            eff = eff.replace(num_channels=cand.n_dup)
         res = run_summa(
             cand.mesh[0], sig.n, algorithm=cand.algorithm, colors=cand.n_dup,
             depth=cand.depth, ppn=cand.ppn, params=eff, machine=machine,
             deadline=deadline, record=record,
         )
-        if record:
-            return res.elapsed, res.world.engine.now, res.recording
-        return res.elapsed, res.world.engine.now
-    if cand.kernel == "ssc":
+    elif cand.kernel == "ssc":
         res = run_ssc(
             cand.mesh[0], sig.n, cand.algorithm, n_dup=cand.n_dup,
             ppn=cand.ppn, params=eff, machine=machine,
@@ -254,8 +247,8 @@ def search(sig: WorkloadSignature, candidates: list[Candidate],
         if use_replay:
             recg = graph_cache.get(cache_key)
             if recg is not None:
-                eff = apply_collective(params or NetworkParams(),
-                                       entry.candidate.collective)
+                eff = candidate_params(params or NetworkParams(),
+                                       entry.candidate)
                 try:
                     scored = replay_kernel(recg, params=eff, machine=machine,
                                            deadline=deadline)

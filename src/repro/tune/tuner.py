@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 
 from repro.netmodel.params import MachineParams, NetworkParams
-from repro.tune.candidates import Candidate, apply_collective, \
+from repro.tune.candidates import Candidate, candidate_params, \
     enumerate_candidates, paper_default_candidate
 from repro.tune.db import TuningDB, TuningRecord
 from repro.tune.search import (
@@ -74,19 +74,27 @@ def interpolation_seeds(record: TuningRecord) -> list[Candidate]:
                   key=lambda c: c.key)
 
 
-def tune_for_run(tune, sig: WorkloadSignature, *, tune_db: TuningDB | None = None,
+def tune_for_run(tune, sig: WorkloadSignature, rerun, *,
+                 tune_db: TuningDB | None = None,
                  params: NetworkParams | None = None,
-                 machine: MachineParams | None = None,
-                 ) -> tuple[TuningRecord, NetworkParams]:
+                 machine: MachineParams | None = None):
     """The tune dispatch shared by every tunable kernel runner.
 
     ``tune`` is a :data:`TuningPolicy` string (a private :class:`Tuner`
     over ``tune_db``) or a :class:`Tuner` /
     :class:`~repro.tune.service.TuningService`, which brings its own db —
-    so ``tune_db`` alongside one is rejected, not ignored.  Returns the
-    record for the runner's ``sig`` and the fabric constants with the
-    winner's collective schedule applied.
+    so ``tune_db`` alongside one is rejected, not ignored; so is a
+    ``tune_db`` without ``tune``.  Tunes the runner's ``sig``, runs
+    ``rerun(best, eff)`` — the runner on the winning candidate and the
+    fabric constants it runs on
+    (:func:`~repro.tune.candidates.candidate_params`) — and returns that
+    result with the decision trace attached as ``.tuning``.
     """
+    if tune is None:
+        raise ValueError(
+            "tune_db without tune= would be ignored; pass a tuning-policy "
+            "string (e.g. tune='db-only') to read it"
+        )
     if isinstance(tune, str):
         tuner = Tuner(db=tune_db, policy=tune)
     elif tune_db is not None:
@@ -97,8 +105,10 @@ def tune_for_run(tune, sig: WorkloadSignature, *, tune_db: TuningDB | None = Non
     else:
         tuner = tune
     record = tuner.tune(sig, params=params, machine=machine)
-    return record, apply_collective(params or NetworkParams(),
-                                    record.best.collective)
+    result = rerun(record.best,
+                   candidate_params(params or NetworkParams(), record.best))
+    result.tuning = record
+    return result
 
 
 class Tuner:
